@@ -11,8 +11,8 @@ The package is organized bottom-up:
 - :mod:`bregrelax.solvers` -- GCG, ADMM, and smooth-minimization engines.
 - :mod:`bregrelax.models` -- the four relaxed clustering models plus
   alternating and EM baselines.
-- :mod:`bregrelax.rounding` -- spectral rounding, reoptimization,
-  matched-accuracy scoring.
+- :mod:`bregrelax.rounding` -- spectral rounding, the Lloyd loop behind
+  k-means and both hard reoptimizers, matched-accuracy scoring.
 - :mod:`bregrelax.bench` / :mod:`bregrelax.cli` -- dataset handling,
   experiment grids, result tables, command line front end.
 """
@@ -45,7 +45,6 @@ from .divergences import (
     divergence,
     family,
     pairwise_divergence,
-    rowwise_divergence,
 )
 from .geometry import (
     RELAXATIONS,
@@ -55,7 +54,6 @@ from .geometry import (
     equivalence_from_assignment,
     pinv_quadratic_form,
     project_rowsum,
-    simplex_project,
 )
 from .models import (
     MODELS,
@@ -67,7 +65,6 @@ from .models import (
     cond_objective,
     derived_rng,
     disc_loss,
-    joint_hard_reopt,
     joint_loss,
     soft_em,
     solve_cond,
@@ -80,6 +77,7 @@ from .rounding import (
     ClusteringResult,
     hard_posterior_accuracy,
     hard_reopt,
+    joint_hard_reopt,
     kmeans,
     matched_accuracy,
     soft_accuracy,
@@ -91,7 +89,6 @@ from .solvers import (
     GcgResult,
     SmoothProblem,
     SolverDivergence,
-    admm_row_step,
     admm_solve,
     gcg_line_search,
     gcg_minimize,
@@ -120,7 +117,6 @@ __all__ = [
     "SmoothProblem",
     "SoftEmResult",
     "SolverDivergence",
-    "admm_row_step",
     "admm_solve",
     "alternating_hard",
     "capped_box_simplex_project",
@@ -151,12 +147,10 @@ __all__ = [
     "preprocess",
     "project_rowsum",
     "recover_equivalence",
-    "rowwise_divergence",
     "rowwise_objective",
     "run_experiment",
     "run_grid",
     "score_assignments",
-    "simplex_project",
     "smooth_minimize",
     "soft_accuracy",
     "soft_em",

@@ -17,8 +17,7 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -33,12 +32,12 @@ from .models import (
     alternating_restarts,
     cond_objective,
     derived_rng,
-    joint_hard_reopt,
     soft_em_restarts,
     solve_relaxation,
 )
 from .rounding import (
     hard_reopt,
+    joint_hard_reopt,
     matched_accuracy,
     soft_accuracy,
     spectral_embedding,
@@ -265,10 +264,52 @@ class ResultRecord:
     def sort_key(self):
         return (self.dataset, MODELS.index(self.model), self.transfer)
 
+    @classmethod
+    def from_row(cls, row):
+        """Rebuild a record from one parsed results.csv row (CSV_COLUMNS).
+
+        Empty numeric cells (soft scores of models without them) read as
+        None; fields outside the CSV keep their defaults.
+        """
+        types = {f.name: f.type for f in fields(cls)}
+
+        def parse(column):
+            text = row[column]
+            if types[column] in (int, str):
+                return types[column](text)
+            return float(text) if text else None
+
+        return cls(**{column: parse(column) for column in CSV_COLUMNS})
+
 
 def _joint_posteriors(X, result, fam):
     scores = result.weights[None, :] - pairwise_divergence(fam, X, result.centers)
     return softmax(scores, axis=1)
+
+
+def prepare(spec):
+    """Load, subsample and preprocess a cell's dataset; build its ModelConfig.
+
+    Returns (dataset, config).  The cluster count defaults to the number
+    of classes, and the divergence family follows the transfer.
+    """
+    ds = load_dataset(spec.dataset, spec.label_column, spec.delimiter, spec.name)
+    if spec.subsample:
+        ds = stratified_subsample(ds, spec.subsample, spec.seed)
+    ds = preprocess(ds, spec.transfer)
+    config = ModelConfig(
+        d=spec.d or ds.n_classes,
+        family=transfer_family(spec.transfer),
+        alpha=spec.alpha,
+        beta=spec.beta,
+        gamma=spec.gamma,
+        tol=spec.tol,
+        admm_tol=spec.admm_tol,
+        max_iter=spec.max_iter,
+        restarts=spec.baseline_restarts,
+        seed=spec.seed,
+    )
+    return ds, config
 
 
 def run_experiment(spec):
@@ -281,25 +322,9 @@ def run_experiment(spec):
     the final labels, so every number is recomputable from the persisted
     assignments.
     """
-    ds = load_dataset(spec.dataset, spec.label_column, spec.delimiter, spec.name)
-    if spec.subsample:
-        ds = stratified_subsample(ds, spec.subsample, spec.seed)
-    ds = preprocess(ds, spec.transfer)
-    fam_name = transfer_family(spec.transfer)
-    fam = family(fam_name)
-    d = spec.d or ds.n_classes
-    config = ModelConfig(
-        d=d,
-        family=fam_name,
-        alpha=spec.alpha,
-        beta=spec.beta,
-        gamma=spec.gamma,
-        tol=spec.tol,
-        admm_tol=spec.admm_tol,
-        max_iter=spec.max_iter,
-        restarts=spec.baseline_restarts,
-        seed=spec.seed,
-    )
+    ds, config = prepare(spec)
+    fam = family(config.family)
+    d = config.d
     X, truth = ds.X, ds.labels
     start = time.perf_counter()
     assignments = []
@@ -479,7 +504,7 @@ def _render_text(records):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def run_grid(specs, workers=1):
+def run_grid(specs):
     """Run every cell, collecting failures without stopping the grid.
 
     Returns (records, failures) where failures are (spec, message) pairs.
@@ -487,20 +512,11 @@ def run_grid(specs, workers=1):
     """
     records = []
     failures = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_experiment, s): s for s in specs}
-            for fut, s in futures.items():
-                try:
-                    records.append(fut.result())
-                except Exception as exc:  # noqa: BLE001  (cell isolation)
-                    failures.append((s, f"{type(exc).__name__}: {exc}"))
-    else:
-        for s in specs:
-            try:
-                records.append(run_experiment(s))
-            except Exception as exc:  # noqa: BLE001  (cell isolation)
-                failures.append((s, f"{type(exc).__name__}: {exc}"))
+    for s in specs:
+        try:
+            records.append(run_experiment(s))
+        except Exception as exc:  # noqa: BLE001  (cell isolation)
+            failures.append((s, f"{type(exc).__name__}: {exc}"))
     records.sort(key=lambda r: r.sort_key())
     return records, failures
 

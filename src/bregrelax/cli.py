@@ -7,6 +7,7 @@ from one master seed.
 """
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .models import MODELS, RELAXATION_MODELS, ModelConfig, alternating_hard, soft_em
+from .models import MODELS, RELAXATION_MODELS, alternating_hard, soft_em, solve_relaxation
 from .rounding import matched_accuracy
 
 GRID_KEYS = ("dataset", "model", "transfer")
@@ -33,7 +34,6 @@ SCALAR_KEYS = {
     "admm_tol": float,
     "max_iter": int,
     "out": str,
-    "workers": int,
 }
 
 
@@ -100,7 +100,6 @@ def build_parser():
     p_bench = sub.add_parser("bench", help="run a model x transfer x dataset grid")
     p_bench.add_argument("--config", action="append", default=[],
                          help="key=value config file; repeatable")
-    p_bench.add_argument("--workers", type=int, default=None)
     _common_flags(p_bench)
 
     p_score = sub.add_parser("score", help="recompute stats from saved assignments")
@@ -158,27 +157,15 @@ def _make_spec(dataset, model, transfer, kw, restarts):
 
 
 def cmd_solve(args):
-    config = {}
-    kw, restarts = _spec_kwargs(args, config)
+    kw, restarts = _spec_kwargs(args, {})
     if not args.data or not args.model:
         raise SystemExit("solve requires --data and --model")
     out = kw.pop("out", None)
     spec = _make_spec(args.data, args.model, args.transfer, kw, restarts)
-    ds = bench.load_dataset(spec.dataset, spec.label_column, spec.delimiter, spec.name)
-    if spec.subsample:
-        ds = bench.stratified_subsample(ds, spec.subsample, spec.seed)
-    ds = bench.preprocess(ds, spec.transfer)
-    fam_name = bench.transfer_family(spec.transfer)
-    d = spec.d or ds.n_classes
-    cfg = ModelConfig(d=d, family=fam_name, alpha=spec.alpha, beta=spec.beta,
-                      gamma=spec.gamma, tol=spec.tol, admm_tol=spec.admm_tol,
-                      max_iter=spec.max_iter, restarts=spec.baseline_restarts,
-                      seed=spec.seed)
+    ds, cfg = bench.prepare(spec)
     summary = {"dataset": ds.name, "t": ds.t, "n": ds.n, "model": spec.model,
-               "transfer": spec.transfer, "clusters": d}
+               "transfer": spec.transfer, "clusters": cfg.d}
     if spec.model in RELAXATION_MODELS:
-        from .models import solve_relaxation
-
         sol = solve_relaxation(spec.model, ds.X, cfg)
         summary.update(objective=sol.objective, converged=sol.converged,
                        iterations=sol.iterations)
@@ -235,8 +222,7 @@ def cmd_bench(args):
                 spec = _make_spec(dataset, model, transfer, kw, restarts)
                 spec.out = str(Path(out) / "cells")
                 specs.append(spec)
-    workers = args.workers or config.get("workers") or 1
-    records, failures = bench.run_grid(specs, workers=workers)
+    records, failures = bench.run_grid(specs)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bench.emit_table(records, "csv", out_dir / "results.csv")
@@ -269,32 +255,8 @@ def cmd_score(args):
 
 
 def cmd_table(args):
-    import csv as _csv
-
-    records = []
     with open(args.records, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            records.append(bench.ResultRecord(
-                dataset=row["dataset"],
-                t=int(row["t"]),
-                n=int(row["n"]),
-                model=row["model"],
-                transfer=row["transfer"],
-                clusters=int(row["clusters"]),
-                alpha=float(row["alpha"]),
-                beta=float(row["beta"]),
-                gamma=float(row["gamma"]),
-                seed=int(row["seed"]),
-                obj_mean=float(row["obj_mean"]),
-                obj_std=float(row["obj_std"]),
-                acc_mean=float(row["acc_mean"]),
-                acc_std=float(row["acc_std"]),
-                soft_mean=float(row["soft_mean"]) if row["soft_mean"] else None,
-                soft_std=float(row["soft_std"]) if row["soft_std"] else None,
-                iterations=int(row["iterations"]),
-                assignment_file=row["assignment_file"],
-                m_sha256=row["m_sha256"],
-            ))
+        records = [bench.ResultRecord.from_row(row) for row in csv.DictReader(fh)]
     text = bench.emit_table(records, "text", args.out)
     if not args.out:
         print(text, end="")

@@ -149,24 +149,16 @@ def family(name):
 
 
 def divergence(fam, x, y):
-    """Primal divergence D_F(x, y) between two equal-length vectors."""
+    """Primal divergence D_F(x, y), summed over all entries of equal-shape arrays.
+
+    For matrices this is the sum of D_F over paired rows.
+    """
     fam = family(fam)
     x = fam.check_domain(x)
     y = fam.check_domain(y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     val = np.sum(fam.potential(x) - fam.potential(y) - (x - y) * fam.transfer(y))
-    return max(float(val), 0.0)
-
-
-def rowwise_divergence(fam, X, Y):
-    """Sum of D_F over paired rows of two matrices of equal shape."""
-    fam = family(fam)
-    X = fam.check_domain(X)
-    Y = fam.check_domain(Y)
-    if X.shape != Y.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    val = np.sum(fam.potential(X) - fam.potential(Y) - (X - Y) * fam.transfer(Y))
     return max(float(val), 0.0)
 
 
@@ -227,28 +219,3 @@ def logsumexp_value_grad(w):
     e = np.exp(w - m)
     z = np.sum(e)
     return float(m + np.log(z)), e / z
-
-
-class SoftMaxPotential:
-    """Potential g(w) = log sum_i exp(w_i) with softmax gradient.
-
-    This is the potential behind the discriminative loss and the cluster
-    prior of the joint model; it is evaluated with max-shift stabilization.
-    """
-
-    def __init__(self, dimension):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = int(dimension)
-
-    def value(self, w):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.dimension,):
-            raise ValueError(f"expected shape ({self.dimension},), got {w.shape}")
-        return logsumexp_value_grad(w)[0]
-
-    def gradient(self, w):
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.dimension,):
-            raise ValueError(f"expected shape ({self.dimension},), got {w.shape}")
-        return logsumexp_value_grad(w)[1]

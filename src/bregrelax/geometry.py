@@ -158,17 +158,6 @@ def capped_box_simplex_project(sigma, budget):
     return np.clip(sigma - lam, 0.0, 1.0)
 
 
-def simplex_project(v):
-    """Euclidean projection onto the probability simplex (sorted threshold)."""
-    v = np.asarray(v, dtype=float).ravel()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.max(idx[u - css / idx > 0.0])
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def simplex_project_rows(V):
     """Row-wise simplex projection of a matrix, vectorized."""
     V = np.asarray(V, dtype=float)

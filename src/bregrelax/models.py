@@ -14,9 +14,8 @@ equivalence matrix for rounding.
 * ``joint``    -- joint model with a relaxed log-prior block stacked next
                   to the conjugate responsibilities.
 
-Baselines: ``alt-hard`` (alternating hard clustering with restarts),
-``soft-em`` (mixture EM), and the prior-aware ``joint_hard_reopt`` used to
-polish rounded joint solutions.
+Baselines: ``alt-hard`` (alternating hard clustering with restarts, each
+restart one ``rounding.hard_reopt`` run) and ``soft-em`` (mixture EM).
 """
 
 from dataclasses import dataclass, field
@@ -28,12 +27,12 @@ from scipy.special import logsumexp, softmax
 from .clusternorm import recover_equivalence
 from .divergences import (
     conjugate_divergence,
+    divergence,
     family,
     logsumexp_value_grad,
     pairwise_divergence,
-    rowwise_divergence,
 )
-from .rounding import ClusteringResult, cluster_means, _reseed_empty, hard_reopt
+from .rounding import cluster_means, hard_reopt
 from .solvers import (
     SmoothProblem,
     SolverDivergence,
@@ -106,7 +105,7 @@ def cond_objective(X, labels, fam="euclidean"):
     labels = labels.astype(int).ravel()
     d = int(labels.max()) + 1
     centers, _ = cluster_means(X, labels, d)
-    return float(rowwise_divergence(fam, X, centers[labels]))
+    return float(divergence(fam, X, centers[labels]))
 
 
 def solve_cond_jc(X, config):
@@ -374,56 +373,6 @@ def alternating_hard(X, config):
     best = results[int(np.argmin(objectives))]
     best.restarts_summary = (float(objectives.mean()), float(objectives.std()))
     return best
-
-
-def joint_hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
-    """Alternating minimization of the prior-aware hard objective.
-
-    Blocks: cluster weights w = log(counts / t), means, and MAP labels
-    argmax_j [w_j - D_F(x_i, mu_j)].  The objective
-    sum_i [-w_{y_i} + D_F(x_i, mu_{y_i})] + t * lse(w) rewards skewed
-    cluster sizes relative to plain alternating minimization.
-    """
-    fam = family(fam)
-    X = fam.check_domain(X)
-    labels = np.asarray(labels0, dtype=int).ravel().copy()
-    t = X.shape[0]
-    if labels.shape[0] != t:
-        raise ValueError(f"labels0 has {labels.shape[0]} entries for {t} points")
-    if labels.min() < 0:
-        raise ValueError("labels0 must be nonnegative")
-    d = max(int(labels.max()) + 1, d or 0)
-    trace = []
-    w = np.zeros(d)
-    centers = None
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        centers, counts = cluster_means(X, labels, d)
-        if np.any(counts == 0):
-            # revived clusters need a member immediately: a -inf weight
-            # would otherwise keep them empty forever
-            labels, centers, _ = _reseed_empty(
-                X, labels, centers, counts, fam, reassign=True
-            )
-            centers, counts = cluster_means(X, labels, d)
-        w = np.log(counts / t)
-        scores = w[None, :] - pairwise_divergence(fam, X, centers)
-        new_labels = scores.argmax(axis=1)
-        objective = float(
-            -scores[np.arange(t), new_labels].sum() + t * logsumexp(w)
-        )
-        trace.append(objective)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return ClusteringResult(
-        labels=labels,
-        centers=centers,
-        objective=trace[-1],
-        iterations=iteration,
-        weights=w,
-        trace=trace,
-    )
 
 
 @dataclass

@@ -3,8 +3,12 @@
 A relaxed equivalence matrix is turned into a hard clustering by embedding
 points with the top eigenvectors and running k-means on the normalized
 rows (``spectral_round``).  Hard clusterings are polished with alternating
-minimization (``hard_reopt``) and scored against ground truth with a
-maximum-weight matching between clusters and classes.
+minimization (``hard_reopt``, or ``joint_hard_reopt`` with cluster
+log-priors) and scored against ground truth with a maximum-weight matching
+between clusters and classes.  k-means and both polishers are one Lloyd
+loop (``lloyd``): Lloyd's alternation is the same algorithm under every
+Bregman divergence (Banerjee et al., JMLR 2005), and k-means is its
+squared-euclidean case.
 """
 
 import warnings
@@ -13,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.optimize
-from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 from .divergences import family, pairwise_divergence
 from .geometry import RANK_RTOL
@@ -53,40 +57,38 @@ def cluster_means(X, labels, d):
     return centers, counts
 
 
-def _reseed_empty(X, labels, centers, counts, fam, reassign=False):
-    """Re-seed each empty cluster at the point farthest from its center.
+def _fill_empty(X, labels, centers, fam):
+    """Move the point farthest from its own center into each empty cluster.
 
-    Sequential so two empty clusters never grab the same point.  With
-    ``reassign`` the chosen point is moved into the revived cluster
-    immediately (needed when cluster weights would otherwise stay -inf).
+    Moving the point, not just a center, keeps every log-prior finite.  One
+    point per cluster in turn, evaluating live centers only (empty rows may
+    sit outside the domain).
     """
-    labels = labels.copy()
-    centers = centers.copy()
-    empties = np.flatnonzero(counts == 0)
-    if empties.size == 0:
-        return labels, centers, False
-    # divergence of each point from the center it is currently assigned to;
-    # only live centers are evaluated (empty rows may sit outside the domain)
-    live = np.unique(labels)
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    if counts.min() > 0:
+        return labels
+    live = np.flatnonzero(counts)
     own = pairwise_divergence(fam, X, centers[live])
-    div = own[np.arange(X.shape[0]), np.searchsorted(live, labels)].copy()
-    for j in empties:
+    div = own[np.arange(X.shape[0]), np.searchsorted(live, labels)]
+    labels = labels.copy()
+    for j in np.flatnonzero(counts == 0):
         p = int(np.argmax(div))
-        centers[j] = X[p]
+        labels[p] = j
         div[p] = -np.inf
-        if reassign:
-            labels[p] = j
-    return labels, centers, True
+    return labels
 
 
-def hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
-    """Alternating minimization of sum_i D_F(x_i, mu_{y_i}) from labels0.
+def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
+    """Lloyd's alternation under divergence ``fam``, starting from labels0.
 
-    Classic two-block descent: cluster means given labels, nearest center
-    in divergence given means.  Empty clusters are re-seeded at the point
-    with the largest divergence from its current center.  The objective
-    trace is nonincreasing and the loop stops at a fixed point, so the
-    result never scores worse than labels0.
+    Each sweep fits the means of the current labels (with ``log_prior``
+    also log-priors w = log(counts / t), else w = 0), records the objective
+    sum_i [D_F(x_i, mu_{y_i}) - w_{y_i}] (+ t lse(w) with priors), then
+    moves each point to argmin_j [D_F(x_i, mu_j) - w_j].  Means minimize a
+    Bregman divergence sum, so without priors the trace never increases.  A
+    cluster left empty takes the point farthest from its own center.  Stops
+    at a fixed point or after ``max_iter`` sweeps; the returned centers,
+    weights and objective belong to the returned labels.
     """
     fam = family(fam)
     X = fam.check_domain(X)
@@ -97,28 +99,53 @@ def hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
     if labels.min() < 0:
         raise ValueError("labels0 must be nonnegative")
     d = max(int(labels.max()) + 1, d or 0)
+    labels = _fill_empty(X, labels, cluster_means(X, labels, d)[0], fam)
+    rows = np.arange(t)
+    weights = None
     trace = []
-    iteration = 0
     for iteration in range(1, max_iter + 1):
         centers, counts = cluster_means(X, labels, d)
-        if np.any(counts == 0):
-            labels, centers, _ = _reseed_empty(X, labels, centers, counts, fam)
-        D = pairwise_divergence(fam, X, centers)
-        new_labels = D.argmin(axis=1)
-        objective = float(D[np.arange(t), new_labels].sum())
-        trace.append(objective)
+        cost = pairwise_divergence(fam, X, centers)
+        objective = 0.0
+        if log_prior:
+            weights = np.log(counts / t)
+            cost = cost - weights[None, :]
+            objective = t * logsumexp(weights)
+        trace.append(float(objective + cost[rows, labels].sum()))
+        if iteration == max_iter:
+            break
+        new_labels = _fill_empty(X, cost.argmin(axis=1), centers, fam)
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
-    centers, counts = cluster_means(X, labels, d)
     return ClusteringResult(
         labels=labels,
         centers=centers,
         objective=trace[-1],
         iterations=iteration,
+        weights=weights,
         trace=trace,
     )
+
+
+def hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
+    """Alternating minimization of sum_i D_F(x_i, mu_{y_i}) from labels0.
+
+    Classic two-block descent (``lloyd`` without priors): cluster means
+    given labels, nearest center in divergence given means.
+    """
+    return lloyd(X, labels0, fam, max_iter, d)
+
+
+def joint_hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
+    """Alternating minimization of the prior-aware hard objective.
+
+    Blocks: cluster weights w = log(counts / t), means, and MAP labels
+    argmax_j [w_j - D_F(x_i, mu_j)].  The objective
+    sum_i [-w_{y_i} + D_F(x_i, mu_{y_i})] + t * lse(w) rewards skewed
+    cluster sizes relative to plain alternating minimization.
+    """
+    return lloyd(X, labels0, fam, max_iter, d, log_prior=True)
 
 
 def _kmeans_pp(X, k, rng):
@@ -141,36 +168,16 @@ def kmeans(X, k, rng=None, max_iter=300):
     """Lloyd iterations from a kmeans++ seeding.
 
     Returns (labels, centers, inertia) where inertia is the summed squared
-    distance to assigned centers.  Empty clusters are repaired by
-    re-seeding at the farthest point from its assigned center.
+    distance to assigned centers.  The loop is ``lloyd`` under the
+    euclidean family, started from the nearest-seed assignment; its
+    divergence is half the squared distance, hence inertia = 2 * objective.
     """
     rng = np.random.default_rng(rng)
     X = np.asarray(X, dtype=float)
-    centers = _kmeans_pp(X, k, rng)
-    labels = np.full(X.shape[0], -1)
-    for _ in range(max_iter):
-        D = cdist(X, centers, "sqeuclidean")
-        new_labels = D.argmin(axis=1)
-        counts = np.bincount(new_labels, minlength=k)
-        if np.any(counts == 0):
-            div = D[np.arange(X.shape[0]), new_labels].copy()
-            for j in np.flatnonzero(counts == 0):
-                p = int(np.argmax(div))
-                centers[j] = X[p]
-                new_labels[p] = j
-                div[p] = -np.inf
-            counts = np.bincount(new_labels, minlength=k)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        onehot = np.zeros((X.shape[0], k))
-        onehot[np.arange(X.shape[0]), labels] = 1.0
-        safe = np.where(counts > 0, counts, 1.0)
-        centers = (onehot.T @ X) / safe[:, None]
-    D = cdist(X, centers, "sqeuclidean")
-    labels = D.argmin(axis=1)
-    inertia = float(D[np.arange(X.shape[0]), labels].sum())
-    return labels, centers, inertia
+    seeds = _kmeans_pp(X, k, rng)
+    labels0 = pairwise_divergence("euclidean", X, seeds).argmin(axis=1)
+    res = lloyd(X, labels0, "euclidean", max_iter, k)
+    return res.labels, res.centers, 2.0 * res.objective
 
 
 def spectral_embedding(M, d):

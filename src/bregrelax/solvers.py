@@ -24,7 +24,7 @@ import scipy.optimize
 
 from .clusternorm import cluster_norm, cluster_norm_dual, cluster_norm_dual_subgradient
 from .divergences import BERNOULLI_CLIP, family
-from .geometry import project_rowsum, simplex_project, simplex_project_rows
+from .geometry import project_rowsum, simplex_project_rows
 
 
 class SolverDivergence(RuntimeError):
@@ -251,42 +251,6 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000, callback=None):
         trace=trace,
         norm_tracker=s,
     )
-
-
-def admm_row_step(row_loss, anchor, mu, tol=1e-8, max_iter=500):
-    """Minimize loss(m) + ||m - anchor||^2 / (2 mu) over the simplex.
-
-    ``row_loss`` maps a simplex vector to ``(value, gradient)``.  Projected
-    gradient with backtracking on the quadratic upper model; stops when the
-    step-scaled displacement ||m_next - m|| / eta falls below ``tol``.
-    """
-    anchor = np.asarray(anchor, dtype=float).ravel()
-
-    def total(m):
-        v, g = row_loss(m)
-        diff = m - anchor
-        return v + 0.5 * (diff @ diff) / mu, g + diff / mu
-
-    m = simplex_project(anchor)
-    eta = min(1.0, mu)
-    val, grad = total(m)
-    for _ in range(max_iter):
-        while True:
-            cand = simplex_project(m - eta * grad)
-            delta = cand - m
-            cval, cgrad = total(cand)
-            bound = val + grad @ delta + 0.5 * (delta @ delta) / eta
-            if cval <= bound + 1e-12 * (1.0 + abs(val)):
-                break
-            eta *= 0.5
-            if eta < 1e-18:
-                return m
-        step_norm = float(np.linalg.norm(delta)) / eta
-        m, val, grad = cand, cval, cgrad
-        eta = min(eta * 1.3, 1e6)
-        if step_norm < tol:
-            break
-    return m
 
 
 def _primal_rows(fam, X, Y):

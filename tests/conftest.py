@@ -80,6 +80,21 @@ def random_feasible_sigma(r, budget, rng):
     return sigma
 
 
+def simplex_project(v):
+    """Euclidean projection of one vector onto the probability simplex.
+
+    The sorted-threshold algorithm, one row at a time: the reference for
+    the package's vectorized ``simplex_project_rows``.
+    """
+    v = np.asarray(v, dtype=float).ravel()
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, v.size + 1)
+    rho = np.max(idx[u - css / idx > 0.0])
+    theta = css[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
+
+
 def planted_euclidean(t, d, rng, sep=6.0, noise=0.5):
     """Well-separated gaussian blobs with origin-symmetric means."""
     angles = 2.0 * np.pi * np.arange(d) / max(d, 2)

@@ -8,11 +8,10 @@ from bregrelax import (
     equivalence_from_assignment,
     pinv_quadratic_form,
     project_rowsum,
-    simplex_project,
 )
 from bregrelax.geometry import indicator, simplex_project_rows
 
-from conftest import cvxpy_project_rowsum, require_cvxpy
+from conftest import cvxpy_project_rowsum, require_cvxpy, simplex_project
 
 
 def test_equivalence_singletons_is_identity():
@@ -141,15 +140,15 @@ def test_capped_box_matches_qp_oracle(rng):
 
 def test_simplex_project_fixed_point():
     v = np.array([0.25, 0.5, 0.25])
-    assert np.allclose(simplex_project(v), v)
+    assert np.allclose(simplex_project_rows([v])[0], v)
 
 
 def test_simplex_project_vertex():
-    assert np.allclose(simplex_project([2.0, 0.0]), [1.0, 0.0])
+    assert np.allclose(simplex_project_rows([[2.0, 0.0]])[0], [1.0, 0.0])
 
 
 def test_simplex_project_threshold_case():
-    out = simplex_project([0.8, 0.6, -0.1])
+    out = simplex_project_rows([[0.8, 0.6, -0.1]])[0]
     assert np.allclose(out, [0.6, 0.4, 0.0], atol=1e-12)
     assert out.sum() == pytest.approx(1.0)
 
@@ -161,7 +160,7 @@ def test_simplex_project_matches_qp_oracle(rng):
         m = cp.Variable(5)
         prob = cp.Problem(cp.Minimize(cp.sum_squares(m - v)), [m >= 0, cp.sum(m) == 1])
         prob.solve(solver="CLARABEL")
-        assert np.allclose(simplex_project(v), m.value, atol=1e-7)
+        assert np.allclose(simplex_project_rows([v])[0], m.value, atol=1e-7)
 
 
 def test_simplex_project_rows_consistency(rng):

@@ -17,6 +17,7 @@ from bregrelax import (
     family,
     hard_posterior_accuracy,
     hard_reopt,
+    joint_hard_reopt,
     kmeans,
     matched_accuracy,
     pairwise_divergence,
@@ -217,6 +218,14 @@ def test_kmeans_deterministic_per_seed(rng):
     assert np.array_equal(la, lb) and ia == ib
 
 
+def test_kmeans_inertia_is_squared_distance_to_returned_centers(rng):
+    X = rng.normal(size=(30, 2))
+    for max_iter in (1, 2, 300):
+        labels, centers, inertia = kmeans(X, 3, rng=5, max_iter=max_iter)
+        expected = float(np.sum((X - centers[labels]) ** 2))
+        assert inertia == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 # ----------------------------------------------------------------- hard reopt
 
 
@@ -270,6 +279,38 @@ def test_hard_reopt_label_validation(rng):
         hard_reopt(X, [0, 1, 0])
     with pytest.raises(ValueError, match="nonnegative"):
         hard_reopt(X, [0, -1, 0, 1, 1])
+
+
+def test_empty_cluster_start_revives_every_cluster(rng):
+    # labels0 uses 2 of d = 3 clusters; the point farthest from its own
+    # center moves into the empty one, which cannot raise the objective
+    X = rng.normal(size=(15, 2))
+    labels0 = np.arange(15) % 2
+    res = hard_reopt(X, labels0, d=3)
+    assert sorted(set(res.labels.tolist())) == [0, 1, 2]
+    assert np.all(np.diff(res.trace) <= 1e-12)
+    assert res.trace[0] <= cond_objective(X, labels0) + 1e-12
+    # two distinct points for three clusters: the third kmeans++ seed
+    # duplicates one of the first two and leaves its cluster empty
+    X = np.array([[1.0, 0.0]] * 3 + [[-1.0, 0.0]] * 3)
+    labels, centers, inertia = kmeans(X, 3, rng=0)
+    assert sorted(set(labels.tolist())) == [0, 1, 2]
+    assert inertia == pytest.approx(0.0, abs=1e-12)
+
+
+def test_reopt_results_belong_to_returned_labels(rng):
+    # a sweep cap can cut the loop before a fixed point; whatever labels
+    # come back, the centers, weights and objective must be theirs
+    X = rng.normal(size=(20, 2))
+    labels0 = rng.integers(0, 3, size=20)
+    for max_iter in (1, 2):
+        res = hard_reopt(X, labels0, max_iter=max_iter, d=3)
+        assert np.allclose(res.centers, cluster_means(X, res.labels, 3)[0])
+        assert res.objective == pytest.approx(cond_objective(X, res.labels), rel=1e-12)
+        res = joint_hard_reopt(X, labels0, max_iter=max_iter, d=3)
+        centers, counts = cluster_means(X, res.labels, 3)
+        assert np.allclose(res.centers, centers)
+        assert np.allclose(res.weights, np.log(counts / 20))
 
 
 # ---------------------------------------------------------- spectral rounding

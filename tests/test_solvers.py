@@ -7,23 +7,24 @@ from bregrelax import (
     AdmmResult,
     SmoothProblem,
     SolverDivergence,
-    admm_row_step,
     admm_solve,
     check_membership,
     cluster_norm,
     gcg_line_search,
     gcg_minimize,
     rowwise_objective,
-    simplex_project,
     smooth_minimize,
     spectral_round,
 )
+from bregrelax.divergences import family
 from bregrelax.models import cond_objective
+from bregrelax.solvers import _admm_rows_pg
 
 from conftest import (
     cvxpy_norm_regularized,
     exhaustive_hard_optimum,
     planted_euclidean,
+    simplex_project,
 )
 
 
@@ -229,48 +230,48 @@ def test_gcg_raises_on_nonfinite():
         gcg_minimize(problem, 0.5, d=2, max_iter=10)
 
 
+def row_steps(fam, X, anchors, mu, lip=None, tol=1e-12):
+    """ADMM row subproblems solved from uniform rows, as ``admm_solve`` starts."""
+    t = X.shape[0]
+    M0 = np.full((t, t), 1.0 / t)
+    eta = None if lip is not None else np.full(t, min(1.0, mu))
+    return _admm_rows_pg(family(fam), X, M0, anchors, mu, tol, 5000, lip=lip, eta=eta)
+
+
 def test_row_step_zero_loss_is_projection(rng):
-    v = rng.normal(size=5)
-    out = admm_row_step(lambda m: (0.0, np.zeros_like(m)), v, mu=0.7)
-    assert np.allclose(out, simplex_project(v), atol=1e-8)
+    # X = 0 makes every row loss D(0, m X) vanish, leaving the proximal term
+    anchors = rng.normal(size=(5, 5))
+    out = row_steps("euclidean", np.zeros((5, 2)), anchors, mu=0.7, lip=0.0)
+    for i in range(5):
+        assert np.allclose(out[i], simplex_project(anchors[i]), atol=1e-8)
 
 
 def test_row_step_feasible(rng):
-    x = rng.normal(size=4)
-    X = rng.normal(size=(6, 4))
-
-    def loss(m):
-        r = m @ X - x
-        return 0.5 * float(r @ r), X @ r
-
-    out = admm_row_step(loss, rng.normal(size=6), mu=1.0)
+    X = rng.uniform(0.1, 0.9, size=(6, 4))
+    out = row_steps("bernoulli", X, rng.normal(size=(6, 6)), mu=1.0)
     assert np.all(out >= 0.0)
-    assert out.sum() == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_row_step_matches_grid_oracle(rng):
+    # t = 3 keeps each row on the 2-simplex, where a barycentric sweep is exact
     X = rng.normal(size=(3, 2))
-    x = rng.normal(size=2)
-    anchor = rng.normal(size=3)
+    anchors = rng.normal(size=(3, 3))
     mu = 0.8
+    lip = float(np.linalg.eigvalsh(X.T @ X)[-1])
 
-    def loss(m):
-        r = m @ X - x
-        return 0.5 * float(r @ r), X @ r
+    def total(i, m):
+        r = m @ X - X[i]
+        return 0.5 * float(r @ r) + 0.5 * np.sum((m - anchors[i]) ** 2) / mu
 
-    out = admm_row_step(loss, anchor, mu, tol=1e-12)
-
-    def total(m):
-        return loss(m)[0] + 0.5 * np.sum((m - anchor) ** 2) / mu
-
-    # dense barycentric sweep of the 2-simplex
-    best = np.inf
     steps = 200
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            m = np.array([i, j, steps - i - j], dtype=float) / steps
-            best = min(best, total(m))
-    assert total(out) <= best + 1e-4
+    grid = [np.array([i, j, steps - i - j], dtype=float) / steps
+            for i in range(steps + 1) for j in range(steps + 1 - i)]
+    for out in (row_steps("euclidean", X, anchors, mu, lip=lip),
+                row_steps("euclidean", X, anchors, mu)):
+        for i in range(3):
+            best = min(total(i, m) for m in grid)
+            assert total(i, out[i]) <= best + 1e-4
 
 
 def test_admm_two_clouds_recovers_partition(rng):
