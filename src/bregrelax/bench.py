@@ -398,19 +398,31 @@ def run_experiment(spec):
     return record
 
 
+def write_cell_files(out_dir, cell, assignments=None, trace=None):
+    """Write a cell's assignment CSV and iteration-trace JSONL.
+
+    ``<cell>_assignments.csv`` holds one comma-separated label row per
+    entry of ``assignments``; ``<cell>_trace.jsonl`` one sorted-key JSON
+    object per trace entry.  A ``None`` argument writes no file.  Lines
+    end in a bare newline on every platform.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if assignments is not None:
+        with open(out_dir / f"{cell}_assignments.csv", "w", newline="\n") as fh:
+            for labels in assignments:
+                fh.write(",".join(str(int(v)) for v in labels) + "\n")
+    if trace is not None:
+        with open(out_dir / f"{cell}_trace.jsonl", "w", newline="\n") as fh:
+            for entry in trace:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
 def persist_cell(record, spec, out_dir):
     """Write assignments and the iteration trace for one cell."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     cell = spec.cell_name()
-    apath = out_dir / f"{cell}_assignments.csv"
-    with open(apath, "w", newline="\n") as fh:
-        for labels in record.assignments:
-            fh.write(",".join(str(int(v)) for v in labels) + "\n")
-    record.assignment_file = apath.name
-    if record.trace:
-        with open(out_dir / f"{cell}_trace.jsonl", "w", newline="\n") as fh:
-            for entry in record.trace:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    write_cell_files(out_dir, cell, record.assignments, record.trace or None)
+    record.assignment_file = f"{cell}_assignments.csv"
 
 
 CSV_COLUMNS = (

@@ -176,9 +176,7 @@ def cmd_solve(args):
             arrays.update({k: v for k, v in sol.auxiliaries.items()
                            if isinstance(v, np.ndarray)})
             np.savez(out_dir / f"{spec.cell_name()}_solution.npz", **arrays)
-            with open(out_dir / f"{spec.cell_name()}_trace.jsonl", "w") as fh:
-                for entry in sol.trace:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            bench.write_cell_files(out_dir, spec.cell_name(), trace=sol.trace)
             summary["out"] = str(out_dir)
     else:
         if spec.model == "alt-hard":
@@ -192,11 +190,8 @@ def cmd_solve(args):
         acc, _ = matched_accuracy(labels, ds.labels)
         summary.update(objective=objective, accuracy=acc, restarts=cfg.restarts)
         if out:
-            out_dir = Path(out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / f"{spec.cell_name()}_assignments.csv", "w") as fh:
-                fh.write(",".join(str(int(v)) for v in labels) + "\n")
-            summary["out"] = str(out_dir)
+            bench.write_cell_files(out, spec.cell_name(), assignments=[labels])
+            summary["out"] = str(Path(out))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -227,7 +222,7 @@ def cmd_bench(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     bench.emit_table(records, "csv", out_dir / "results.csv")
     bench.emit_table(records, "text", out_dir / "results.txt")
-    with open(out_dir / "run.log", "w") as fh:
+    with open(out_dir / "run.log", "w", newline="\n") as fh:
         for r in records:
             fh.write(f"{r.dataset} {r.model} {r.transfer} "
                      f"seconds={r.seconds:.3f} iterations={r.iterations}\n")

@@ -136,23 +136,56 @@ def _recover(T, d):
     return np.zeros((T.shape[0], T.shape[0]))
 
 
-def solve_cond(X, config):
-    """Conditional relaxation in conjugate coordinates, solved by GCG.
+def _curvature(fam, Y):
+    """d f_inv / dz at z = f(Y), i.e. 1 / f'(Y): the Hessian of F* there."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / fam.transfer_derivative(Y)
 
-    Loss D_F*(T, f(X)) is smooth with gradient f_inv(T) - X; the cluster
-    norm of T is penalized with weight alpha.
+
+def _segment_derivatives(R, w, T, S):
+    """Gradient and curvature in (a, b) along a*T + b*S.
+
+    ``R`` is the gradient of the loss and ``w`` its diagonal Hessian, both
+    at the segment point.
     """
-    fam = family(config.family)
-    X = fam.check_domain(X)
+    wT = w * T
+    ts = np.vdot(wT, S)
+    g = np.array([np.vdot(R, T), np.vdot(R, S)])
+    return g, np.array([[np.vdot(wT, T), ts], [ts, np.vdot(w * S, S)]])
+
+
+def _cond_problem(X, fam):
+    """The loss D_F*(T, f(X)) of ``cond`` as a SmoothProblem with a segment.
+
+    Its gradient is f_inv(T) - X and its Hessian is diagonal, f_inv'(T):
+    1 for euclidean (one Newton step is exact), sigma (1 - sigma) for
+    bernoulli.
+    """
     FX = fam.transfer(X)
 
     def value_and_grad(T):
         return conjugate_divergence(fam, T, FX), fam.inverse_transfer(T) - X
 
-    def value(T):
-        return conjugate_divergence(fam, T, FX)
+    def segment(T, S):
+        def phi(a, b):
+            W = a * T + b * S
+            Y = fam.inverse_transfer(W)
+            g, H = _segment_derivatives(Y - X, _curvature(fam, Y), T, S)
+            return conjugate_divergence(fam, W, FX), g, H
 
-    loss = SmoothProblem(shape=X.shape, value_and_grad=value_and_grad, value=value)
+        return phi
+
+    return SmoothProblem(shape=X.shape, value_and_grad=value_and_grad, segment=segment)
+
+
+def solve_cond(X, config):
+    """Conditional relaxation in conjugate coordinates, solved by GCG.
+
+    Loss D_F*(T, f(X)) (``_cond_problem``); the cluster norm of T is
+    penalized with weight alpha.
+    """
+    fam = family(config.family)
+    loss = _cond_problem(fam.check_domain(X), fam)
     res = gcg_minimize(loss, config.alpha, config.d, tol=config.tol, max_iter=config.max_iter)
     return RelaxationSolution(
         model="cond",
@@ -223,30 +256,43 @@ class DiscriminativeLoss:
             )
         return res
 
+    def _softmax(self, Z0, tau):
+        Z = Z0 + tau[None, :]
+        return np.exp(Z - logsumexp(Z, axis=1)[:, None])
+
     def value_and_grad(self, V):
         Z0 = self.X @ V.T / self.t
         res = self._solve_tau(Z0, self.tau)
         self.tau = res.x
-        Z = Z0 + self.tau[None, :]
-        P = np.exp(Z - logsumexp(Z, axis=1)[:, None])
+        P = self._softmax(Z0, self.tau)
         grad_V = (P - np.eye(self.t)).T @ self.X / self.t**2
         return res.objective, grad_V
 
-    def value(self, V):
-        Z0 = self.X @ V.T / self.t
-        res = self._solve_tau(Z0, self.tau)
-        self.tau = res.x
-        return res.objective
-
     def segment(self, V, S):
-        A = self.X @ V.T / self.t
-        B = self.X @ S.T / self.t
+        """Envelope value and gradient along a*V + b*S; fixed-bias curvature.
+
+        The score matrix moves along A = X V' / t and B = X S' / t.  The
+        bias absorbs their column means exactly, so the curvature is taken
+        along the column-centred directions Ac, Bc with tau held fixed:
+        (1/t) sum_i Cov_{P_i}(Ac_i, Bc_i).  Minimizing tau out can only
+        lower curvature, so this is an upper bound on the envelope's and
+        the Newton steps stay conservative.
+        """
+        t = self.t
+        A = self.X @ V.T / t
+        B = self.X @ S.T / t
         state = {"tau": self.tau.copy()}
+        Ac = A - A.mean(axis=0)
+        Bc = B - B.mean(axis=0)
 
         def phi(a, b):
-            res = self._solve_tau(a * A + b * B, state["tau"])
+            Z0 = a * A + b * B
+            res = self._solve_tau(Z0, state["tau"])
             state["tau"] = res.x
-            return res.objective
+            P = self._softmax(Z0, res.x)
+            g, H = _segment_derivatives((P - np.eye(t)) / t, P / t, Ac, Bc)
+            m = np.stack([np.sum(P * Ac, axis=1), np.sum(P * Bc, axis=1)])
+            return res.objective, g, H - m @ m.T / t
 
         return phi
 
@@ -264,10 +310,7 @@ def solve_disc(X, config):
     inner = max(min(config.inner_tol, config.tol * 1e-2), 1e-8)
     disc = DiscriminativeLoss(X, inner_tol=inner)
     loss = SmoothProblem(
-        shape=disc.shape,
-        value_and_grad=disc.value_and_grad,
-        value=disc.value,
-        segment=disc.segment,
+        shape=disc.shape, value_and_grad=disc.value_and_grad, segment=disc.segment
     )
     res = gcg_minimize(loss, config.gamma, config.d, tol=config.tol, max_iter=config.max_iter)
     return RelaxationSolution(
@@ -281,18 +324,62 @@ def solve_disc(X, config):
     )
 
 
+def _joint_terms(fam, u, T, X, FX):
+    """The joint loss at (u, T) given FX = f(X).
+
+    Returns (value, grad_u, grad_T, softmax of u/t, f_inv(T)); the last
+    two carry the curvature of the u and T blocks.
+    """
+    t = X.shape[0]
+    lse, sm = logsumexp_value_grad(u / t)
+    Y = fam.inverse_transfer(T)
+    val = lse - float(np.mean(u)) + conjugate_divergence(fam, T, FX) / t
+    return val, (sm - 1.0) / t, (Y - X) / t, sm, Y
+
+
 def joint_loss(u, T, X, fam):
     """Relaxed joint objective: lse(u/t) - mean(u) + D_F*(T, f(X)) / t.
 
     Returns (value, grad_u, grad_T).
     """
     fam = family(fam)
-    t = X.shape[0]
-    lse, sm = logsumexp_value_grad(u / t)
-    val = lse - float(np.mean(u)) + conjugate_divergence(fam, T, fam.transfer(X)) / t
-    grad_u = (sm - 1.0) / t
-    grad_T = (fam.inverse_transfer(T) - X) / t
-    return val, grad_u, grad_T
+    return _joint_terms(fam, u, T, X, fam.transfer(X))[:3]
+
+
+def _joint_problem(X, fam, ra, rb):
+    """The joint loss over the stacked W = [rb u, ra T] as a SmoothProblem.
+
+    Value, gradient and segment share one evaluator (``_joint_terms``) and
+    the precomputed f(X).
+    """
+    t, n = X.shape
+    FX = fam.transfer(X)
+
+    def split(W):
+        return W[:, 0] / rb, W[:, 1:] / ra
+
+    def value_and_grad(W):
+        val, gu, gT, _, _ = _joint_terms(fam, *split(W), X, FX)
+        G = np.empty_like(W)
+        G[:, 0] = gu / rb
+        G[:, 1:] = gT / ra
+        return val, G
+
+    def segment(W, S):
+        u0, T0 = split(W)
+        us, Ts = split(S)
+
+        def phi(a, b):
+            val, gu, gT, sm, Y = _joint_terms(fam, a * u0 + b * us, a * T0 + b * Ts, X, FX)
+            g_u, H_u = _segment_derivatives(gu, sm / t**2, u0, us)
+            g_T, H_T = _segment_derivatives(gT, _curvature(fam, Y) / t, T0, Ts)
+            # lse(u/t) has Hessian (diag(sm) - sm sm') / t^2
+            m = np.array([sm @ u0, sm @ us]) / t
+            return val, g_u + g_T, H_u - np.outer(m, m) + H_T
+
+        return phi
+
+    return SmoothProblem(shape=(t, n + 1), value_and_grad=value_and_grad, segment=segment)
 
 
 def solve_joint(X, config):
@@ -302,39 +389,20 @@ def solve_joint(X, config):
     cluster-norm penalty on W, so GCG runs with weight 1.
     """
     fam = family(config.family)
-    X = fam.check_domain(X)
-    t, n = X.shape
     ra = np.sqrt(config.alpha)
     rb = np.sqrt(config.beta)
-    FX = fam.transfer(X)
-
-    def split(W):
-        return W[:, 0] / rb, W[:, 1:] / ra
-
-    def value_and_grad(W):
-        u, T = split(W)
-        val, gu, gT = joint_loss(u, T, X, fam)
-        G = np.empty_like(W)
-        G[:, 0] = gu / rb
-        G[:, 1:] = gT / ra
-        return val, G
-
-    def value(W):
-        u, T = split(W)
-        lse, _ = logsumexp_value_grad(u / t)
-        return lse - float(np.mean(u)) + conjugate_divergence(fam, T, FX) / t
-
-    loss = SmoothProblem(shape=(t, n + 1), value_and_grad=value_and_grad, value=value)
+    loss = _joint_problem(fam.check_domain(X), fam, ra, rb)
     res = gcg_minimize(loss, 1.0, config.d, tol=config.tol, max_iter=config.max_iter)
-    u, T = split(res.T)
+    W = res.T
+    u, T = W[:, 0] / rb, W[:, 1:] / ra
     return RelaxationSolution(
         model="joint",
-        M=_recover(res.T, config.d),
+        M=_recover(W, config.d),
         objective=res.objective,
         converged=res.converged,
         iterations=res.iterations,
         trace=res.trace,
-        auxiliaries={"u": u, "T": T, "W": res.T, "norm": res.norm, "gap": res.gap},
+        auxiliaries={"u": u, "T": T, "W": W, "norm": res.norm, "gap": res.gap},
     )
 
 

@@ -8,7 +8,9 @@ Three engines, kept independent of any particular clustering model:
   the form L(T) + (alpha/2) * norm(T)^2 where the norm is the cluster norm.
   The atom oracle is a dual-norm subgradient; a scalar tracker s majorizes
   the norm of the iterate so the norm itself is only evaluated once, at the
-  final iterate.
+  final iterate.  ``gcg_line_search`` picks the next iterate a*T + b*S by
+  projected Newton on (a, b), from the segment's value, gradient and 2x2
+  curvature.
 * ``admm_solve`` -- alternating direction method for minimizing the primal
   divergence D_F(X, M X) over the ``simplex`` relaxation set, splitting the
   row-simplex constraints (handled row-wise by projected gradient) from the
@@ -41,10 +43,13 @@ class SmoothProblem:
     """A smooth objective with gradient oracle over a fixed array shape.
 
     ``value_and_grad`` maps an array of ``shape`` to ``(value, gradient)``.
-    ``value`` may be supplied when the objective alone is cheaper;
+    ``value`` may be supplied when the objective alone is cheaper.
     ``segment`` may be supplied as a fast evaluator for line searches:
-    ``segment(T, S)`` returns a callable ``phi(a, b)`` equal to the value
-    at ``a*T + b*S``.
+    ``segment(T, S)`` returns a callable ``phi(a, b) -> (value, grad_ab,
+    hess_ab)`` giving the value at ``a*T + b*S``, its gradient in (a, b)
+    (``<grad L, T>``, ``<grad L, S>``) and a symmetric 2x2 curvature.  The
+    curvature should be exact or an upper bound (the line search then
+    takes shorter, still safe steps).
     """
 
     shape: tuple
@@ -119,59 +124,110 @@ def smooth_minimize(problem, tol=1e-8, max_iter=500):
     return SmoothResult(x.reshape(shape), float(f), gnorm, total_it, converged)
 
 
-def _minimize_ray(phi, hint):
-    """1-d minimization of a convex function over [0, inf)."""
-    hi = max(2.0 * hint, 1.0)
-    f_hi = phi(hi)
-    f_half = phi(0.5 * hi)
-    grow = 0
-    # expand until the function turns upward, so the minimum is bracketed
-    while f_hi < f_half and grow < 60:
-        hi *= 2.0
-        f_half = f_hi
-        f_hi = phi(hi)
-        grow += 1
-    res = scipy.optimize.minimize_scalar(
-        phi, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-10}
-    )
-    if phi(0.0) <= res.fun:
-        return 0.0
-    return max(float(res.x), 0.0)
+def _default_segment(loss, T, S):
+    """Segment evaluator built from ``loss.value_and_grad`` alone.
+
+    The gradient in (a, b) is exact; the 2x2 curvature is a forward
+    difference of the two directional gradients, one extra gradient call
+    per direction, symmetrized.
+    """
+
+    def directional(W):
+        v, G = loss.value_and_grad(W)
+        return v, np.array([np.sum(G * T), np.sum(G * S)])
+
+    def phi(a, b):
+        W = a * T + b * S
+        v, g = directional(W)
+        h = 1e-6 * (1.0 + abs(a) + abs(b))
+        H = np.column_stack(
+            [(directional(W + h * T)[1] - g) / h, (directional(W + h * S)[1] - g) / h]
+        )
+        return v, g, 0.5 * (H + H.T)
+
+    return phi
 
 
-def gcg_line_search(loss, T, S, s, alpha, sweeps=20):
+def _quadrant_newton(p, g, H):
+    """Minimize the model g.(x-p) + (x-p)'H(x-p)/2 over x >= 0 (2-d).
+
+    A convex quadratic attains its minimum over the quadrant either at the
+    unconstrained solution, on one of the two edges, or at the origin, so
+    each feasible candidate is tried and the best kept.  Returns the point
+    and the model decrease from p (0 when p itself is best).
+    """
+    c = g - H @ p  # linear term of the model in absolute coordinates
+
+    def model(x):
+        return float(c @ x + 0.5 * x @ H @ x)
+
+    candidates = [p, np.zeros(2)]
+    if H[0, 0] > 0.0:
+        candidates.append(np.array([max(-c[0] / H[0, 0], 0.0), 0.0]))
+    if H[1, 1] > 0.0:
+        candidates.append(np.array([0.0, max(-c[1] / H[1, 1], 0.0)]))
+    if H[0, 0] > 0.0 and H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] > 0.0:
+        x = np.linalg.solve(H, -c)
+        if np.all(x >= 0.0):
+            candidates.append(x)
+    values = [model(x) for x in candidates]
+    best = int(np.argmin(values))
+    return candidates[best], values[0] - values[best]
+
+
+def gcg_line_search(loss, T, S, s, alpha):
     """Two-variable line search for the conditional-gradient update.
 
     Minimizes ``phi(a, b) = L(a T + b S) + (alpha/2) (a s + b)^2`` over
-    ``a, b >= 0`` by alternating 1-d minimizations, then falls back to the
-    better of the pure endpoints (keep the iterate / jump to the atom), so
-    the result is never worse than either.
+    ``a, b >= 0`` by projected Newton: each step minimizes the local
+    quadratic model over the quadrant in closed form (``_quadrant_newton``)
+    and is guarded by an Armijo backtrack on phi.  The search starts from
+    the better of the two endpoints (keep the iterate / jump to the atom)
+    and only accepts decreases, so the result is never worse than either.
+    An exactly quadratic L takes one step.  Stops when the model promises
+    less than roundoff, 1e-14 (1 + |phi|), or after 50 steps.
+
+    Derivatives come from ``loss.segment`` when supplied, otherwise from
+    ``_default_segment``.  A non-finite value at the atom raises
+    SolverDivergence.
     """
-    if loss.segment is not None:
-        seg = loss.segment(T, S)
-    else:
-        seg = lambda a, b: loss.evaluate(a * T + b * S)
+    seg = loss.segment(T, S) if loss.segment is not None else _default_segment(loss, T, S)
+    pen_dir = np.array([s, 1.0])
+    pen_hess = alpha * np.outer(pen_dir, pen_dir)
 
-    def phi(a, b):
-        scale = a * s + b
-        return seg(a, b) + 0.5 * alpha * scale * scale
+    def phi(p):
+        v, g, H = seg(p[0], p[1])
+        scale = p @ pen_dir
+        return (
+            float(v) + 0.5 * alpha * scale * scale,
+            np.asarray(g, dtype=float) + alpha * scale * pen_dir,
+            np.asarray(H, dtype=float) + pen_hess,
+        )
 
-    p_keep = phi(1.0, 0.0)
-    p_atom = phi(0.0, 1.0)
-    a, b = 1.0, 0.0
-    for _ in range(sweeps):
-        a_new = _minimize_ray(lambda x: phi(x, b), a)
-        b_new = _minimize_ray(lambda x: phi(a_new, x), b)
-        moved = abs(a_new - a) + abs(b_new - b)
-        a, b = a_new, b_new
-        if moved < 1e-12 * (1.0 + a + b):
+    keep, atom = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    at_keep, at_atom = phi(keep), phi(atom)
+    if not np.isfinite(at_atom[0]):
+        raise SolverDivergence("non-finite loss at the conditional-gradient atom", iterate=T)
+    p, (f, g, H) = (atom, at_atom) if at_atom[0] < at_keep[0] else (keep, at_keep)
+    for _ in range(50):
+        x, drop = _quadrant_newton(p, g, H)
+        noise = 1e-14 * (1.0 + abs(f))
+        if not drop > noise:
             break
-    val = phi(a, b)
-    if p_atom < val and p_atom <= p_keep:
-        return 0.0, 1.0
-    if p_keep < val:
-        return 1.0, 0.0
-    return a, b
+        d = x - p
+        slope = float(g @ d)
+        step = 1.0
+        while True:
+            trial = p + step * d
+            f_new, g_new, H_new = phi(trial)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            # the model decrease of a shortened step is at least step * drop
+            if step * drop <= noise:
+                return float(p[0]), float(p[1])
+        p, f, g, H = trial, f_new, g_new, H_new
+    return float(p[0]), float(p[1])
 
 
 @dataclass
@@ -193,7 +249,9 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000, callback=None):
     gradient G of L, forms the unit-norm atom S = -subgradient of the dual
     norm at G (whose rescaling by dual(G)/alpha minimizes the linearized
     model <G, S> + (alpha/2) norm(S)^2), line-searches over combinations
-    a*T + b*S, and updates s <- a*s + b.  Stops when the relative decrease
+    a*T + b*S (``gcg_line_search``: projected Newton on (a, b), so each
+    iteration costs a handful of segment evaluations), and updates
+    s <- a*s + b.  Stops when the relative decrease
     of the majorized objective or the gap estimate, evaluated at the
     rescaled atom, falls below ``tol``.
     """

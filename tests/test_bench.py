@@ -376,6 +376,20 @@ def test_cli_solve_relaxation_artifacts(tmp_path, capsys):
     assert all("iteration" in json.loads(line) for line in trace_lines)
 
 
+def test_cli_solve_trace_matches_bench_trace(tmp_path, capsys):
+    # solve --out and bench persist the same cell through one writer
+    p = tmp_path / "blobs.csv"
+    write_blobs(p)
+    flags = ["--data", str(p), "--model", "cond", "--label-col", "label", "--seed", "2"]
+    assert main(["solve", *flags, "--out", str(tmp_path / "solve")]) == 0
+    assert main(["bench", *flags, "--out", str(tmp_path / "bench")]) == 0
+    capsys.readouterr()
+    name = "blobs_cond_linear_trace.jsonl"
+    solved = (tmp_path / "solve" / name).read_bytes()
+    assert solved == (tmp_path / "bench" / "cells" / name).read_bytes()
+    assert b"\r" not in solved and len(solved.splitlines()) > 1
+
+
 def test_cli_solve_requires_data_and_model():
     with pytest.raises(SystemExit, match="solve requires"):
         main(["solve", "--model", "alt-hard"])

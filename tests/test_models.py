@@ -28,6 +28,8 @@ from bregrelax import (
     spectral_round,
 )
 from bregrelax.geometry import indicator
+from bregrelax.models import DiscriminativeLoss, _cond_problem, _joint_problem
+from bregrelax.solvers import SmoothProblem
 
 from conftest import (
     exhaustive_hard_optimum,
@@ -293,6 +295,63 @@ def test_solve_joint_planted_recovery(rng):
     recomputed = joint_loss(u, T, X, "euclidean")[0] + 0.5 * cluster_norm(W, 2) ** 2
     assert sol.objective == pytest.approx(recomputed, abs=1e-8)
     assert check_membership(sol.M, 2, "centered", tol=1e-8)
+
+
+# ------------------------------------------------------ line-search segments
+
+
+def _central_segment(evaluate, T, S, a, b, h):
+    """Value, gradient and Hessian in (a, b) of evaluate(a T + b S) by
+    central differences."""
+
+    def f(x, y):
+        return evaluate(x * T + y * S)
+
+    f0 = f(a, b)
+    grad = np.array([f(a + h, b) - f(a - h, b), f(a, b + h) - f(a, b - h)]) / (2 * h)
+    haa = (f(a + h, b) - 2 * f0 + f(a - h, b)) / h**2
+    hbb = (f(a, b + h) - 2 * f0 + f(a, b - h)) / h**2
+    hab = (f(a + h, b + h) - f(a + h, b - h) - f(a - h, b + h) + f(a - h, b - h)) / (4 * h**2)
+    return f0, grad, np.array([[haa, hab], [hab, hbb]])
+
+
+@pytest.mark.parametrize(
+    "model,fam", [("cond", "euclidean"), ("cond", "bernoulli"), ("joint", "euclidean"),
+                  ("joint", "bernoulli")]
+)
+def test_segment_matches_central_differences(rng, model, fam):
+    fam = family(fam)
+    X = rng.uniform(0.1, 0.9, size=(7, 3))
+    if model == "cond":
+        loss = _cond_problem(X, fam)
+    else:
+        loss = _joint_problem(X, fam, np.sqrt(0.5), np.sqrt(0.2))
+    T = rng.normal(scale=2.0, size=loss.shape)
+    S = rng.normal(scale=2.0, size=loss.shape)
+    a, b = 0.7, 0.4
+    val, grad, hess = loss.segment(T, S)(a, b)
+    want_val, want_grad, want_hess = _central_segment(loss.evaluate, T, S, a, b, 1e-4)
+    assert val == pytest.approx(want_val, rel=1e-12)
+    assert np.allclose(grad, want_grad, rtol=1e-6, atol=1e-7)
+    assert np.allclose(hess, hess.T)
+    assert np.allclose(hess, want_hess, rtol=1e-4, atol=1e-5 * np.max(np.abs(hess)))
+
+
+def test_disc_segment_curvature_bounds_envelope(rng):
+    X, _ = planted_bernoulli(8, 2, rng)
+    disc = DiscriminativeLoss(X)
+    loss = SmoothProblem(shape=disc.shape, value_and_grad=disc.value_and_grad)
+    V = rng.normal(scale=20.0, size=X.shape)
+    S = rng.normal(scale=20.0, size=X.shape)
+    a, b = 0.7, 0.4
+    val, grad, hess = disc.segment(V, S)(a, b)
+    want_val, want_grad, envelope = _central_segment(loss.evaluate, V, S, a, b, 1e-3)
+    assert val == pytest.approx(want_val, rel=1e-10)
+    assert np.allclose(grad, want_grad, rtol=1e-5, atol=1e-7)
+    # minimizing the bias out can only remove curvature: fixed-tau bounds it
+    gap = np.linalg.eigvalsh(hess - 0.5 * (envelope + envelope.T))
+    assert gap[0] >= -1e-6 * np.max(np.abs(hess))
+    assert gap[-1] > 1e-3 * np.max(np.abs(hess))  # and the bound is not the envelope itself
 
 
 # -------------------------------------------------------------- baselines

@@ -17,7 +17,7 @@ from bregrelax import (
     spectral_round,
 )
 from bregrelax.divergences import family
-from bregrelax.models import cond_objective
+from bregrelax.models import _cond_problem, cond_objective
 from bregrelax.solvers import _admm_rows_pg
 
 from conftest import (
@@ -167,6 +167,75 @@ def test_line_search_never_worse_than_endpoints(rng):
         a, b = gcg_line_search(loss, T, S, s, alpha)
         phi = _phi(loss, T, S, s, alpha)
         assert phi(a, b) <= min(phi(1.0, 0.0), phi(0.0, 1.0)) + 1e-10
+
+
+def _counted_quadratic(C):
+    """0.5 ||W - C||^2 with an exact segment that records each call."""
+    calls = []
+
+    def segment(T, S):
+        H = np.array([[np.sum(T * T), np.sum(T * S)], [np.sum(T * S), np.sum(S * S)]])
+
+        def phi(a, b):
+            calls.append((a, b))
+            R = a * T + b * S - C
+            return 0.5 * float(np.sum(R * R)), np.array([np.sum(R * T), np.sum(R * S)]), H
+
+        return phi
+
+    problem = _segment_quadratic(C)
+    problem.segment = segment
+    return problem, calls
+
+
+def _assert_quadrant_kkt(grad, point, tol):
+    # zero slope off the bound, nonnegative slope on it
+    for g, x in zip(grad, point):
+        assert x >= 0.0
+        if x > 0.0:
+            assert abs(g) <= tol
+        else:
+            assert g >= -tol
+
+
+def test_line_search_quadratic_segment_kkt_in_four_evals(rng):
+    kinds = set()
+    for _ in range(30):
+        C, T, S = (rng.normal(size=(4, 3)) for _ in range(3))
+        s = float(rng.uniform(0.0, 2.0))
+        alpha = float(rng.uniform(0.01, 1.0))
+        loss, calls = _counted_quadratic(C)
+        a, b = gcg_line_search(loss, T, S, s, alpha)
+        assert len(calls) <= 4
+        R = a * T + b * S - C
+        scale = a * s + b
+        grad = (np.sum(R * T) + alpha * s * scale, np.sum(R * S) + alpha * scale)
+        _assert_quadrant_kkt(grad, (a, b), 1e-9 * (1.0 + np.sum(C * C)))
+        kinds.add((a > 0.0, b > 0.0))
+        # the forward-difference curvature of the default segment finds it too
+        a2, b2 = gcg_line_search(_segment_quadratic(C), T, S, s, alpha)
+        assert (a2, b2) == pytest.approx((a, b), abs=1e-8)
+    assert (True, True) in kinds and len(kinds) > 1  # interior and boundary cases
+
+
+def test_line_search_bernoulli_cond_never_worse_than_endpoints(rng):
+    X = rng.uniform(0.05, 0.95, size=(8, 3))
+    loss = _cond_problem(X, family("bernoulli"))
+    h = 1e-6
+    for _ in range(20):
+        T = rng.normal(scale=3.0, size=X.shape)
+        S = rng.normal(scale=3.0, size=X.shape)
+        s = float(rng.uniform(0.0, 2.0))
+        alpha = float(rng.uniform(0.01, 1.0))
+        a, b = gcg_line_search(loss, T, S, s, alpha)
+        phi = _phi(loss, T, S, s, alpha)
+        best = phi(a, b)
+        assert best <= min(phi(1.0, 0.0), phi(0.0, 1.0))
+        grad = (
+            (phi(a + h, b) - phi(a - h, b)) / (2 * h),
+            (phi(a, b + h) - phi(a, b - h)) / (2 * h),
+        )
+        _assert_quadrant_kkt(grad, (a, b), 1e-6 * (1.0 + abs(best)))
 
 
 def test_gcg_low_rank_closed_form(rng):
