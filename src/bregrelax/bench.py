@@ -210,16 +210,16 @@ class ExperimentSpec:
     delimiter: Optional[str] = None
     name: Optional[str] = None
     d: Optional[int] = None
-    alpha: float = 1e-5
-    beta: float = 1e-5
-    gamma: float = 1e-6
-    seed: int = 0
+    alpha: float = ModelConfig.alpha
+    beta: float = ModelConfig.beta
+    gamma: float = ModelConfig.gamma
+    seed: int = ModelConfig.seed
     rounding_restarts: int = 10
     baseline_restarts: Optional[int] = None
     subsample: Optional[int] = None
-    tol: float = 1e-6
-    admm_tol: float = 1e-5
-    max_iter: int = 1000
+    tol: float = ModelConfig.tol
+    admm_tol: float = ModelConfig.admm_tol
+    max_iter: int = ModelConfig.max_iter
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -229,7 +229,7 @@ class ExperimentSpec:
         if self.model == "disc" and self.transfer != "sigmoid":
             raise ValueError("disc model is defined for the sigmoid transfer only")
         if self.baseline_restarts is None:
-            self.baseline_restarts = 20 if self.model == "soft-em" else 30
+            self.baseline_restarts = 20 if self.model == "soft-em" else ModelConfig.restarts
 
     def cell_name(self):
         base = self.name or Path(self.dataset).stem
@@ -282,9 +282,30 @@ class ResultRecord:
         return cls(**{column: parse(column) for column in CSV_COLUMNS})
 
 
+# results.csv holds every record field but the volatile wall-clock and the
+# per-cell arrays, which go to run.log and the cell files
+CSV_COLUMNS = tuple(
+    f.name for f in fields(ResultRecord) if f.name not in ("seconds", "trace", "assignments")
+)
+
+
 def _joint_posteriors(X, result, fam):
     scores = result.weights[None, :] - pairwise_divergence(fam, X, result.centers)
     return softmax(scores, axis=1)
+
+
+def load_prepared(path, transfer="linear", label_column=-1, delimiter=None, name=None,
+                  subsample=None, seed=0):
+    """Load a dataset, subsample it (when ``subsample`` is set) and preprocess it."""
+    ds = load_dataset(path, label_column, delimiter, name)
+    if subsample:
+        ds = stratified_subsample(ds, subsample, seed)
+    return preprocess(ds, transfer)
+
+
+# the solver knobs an ExperimentSpec passes to ModelConfig under their own name
+_SHARED_KNOBS = ({f.name for f in fields(ModelConfig)}
+                 & {f.name for f in fields(ExperimentSpec)}) - {"d"}
 
 
 def prepare(spec):
@@ -293,21 +314,13 @@ def prepare(spec):
     Returns (dataset, config).  The cluster count defaults to the number
     of classes, and the divergence family follows the transfer.
     """
-    ds = load_dataset(spec.dataset, spec.label_column, spec.delimiter, spec.name)
-    if spec.subsample:
-        ds = stratified_subsample(ds, spec.subsample, spec.seed)
-    ds = preprocess(ds, spec.transfer)
+    ds = load_prepared(spec.dataset, spec.transfer, spec.label_column, spec.delimiter,
+                       spec.name, spec.subsample, spec.seed)
     config = ModelConfig(
         d=spec.d or ds.n_classes,
         family=transfer_family(spec.transfer),
-        alpha=spec.alpha,
-        beta=spec.beta,
-        gamma=spec.gamma,
-        tol=spec.tol,
-        admm_tol=spec.admm_tol,
-        max_iter=spec.max_iter,
         restarts=spec.baseline_restarts,
-        seed=spec.seed,
+        **{name: getattr(spec, name) for name in _SHARED_KNOBS},
     )
     return ds, config
 
@@ -425,29 +438,6 @@ def persist_cell(record, spec, out_dir):
     record.assignment_file = f"{cell}_assignments.csv"
 
 
-CSV_COLUMNS = (
-    "dataset",
-    "t",
-    "n",
-    "model",
-    "transfer",
-    "clusters",
-    "alpha",
-    "beta",
-    "gamma",
-    "seed",
-    "obj_mean",
-    "obj_std",
-    "acc_mean",
-    "acc_std",
-    "soft_mean",
-    "soft_std",
-    "iterations",
-    "assignment_file",
-    "m_sha256",
-)
-
-
 def _fmt(value):
     if value is None:
         return ""
@@ -536,10 +526,8 @@ def run_grid(specs):
 def score_assignments(data_path, assignment_path, transfer="linear", label_column=-1,
                       delimiter=None, subsample=None, seed=0):
     """Recompute objective and accuracy statistics from persisted labels."""
-    ds = load_dataset(data_path, label_column, delimiter)
-    if subsample:
-        ds = stratified_subsample(ds, subsample, seed)
-    ds = preprocess(ds, transfer)
+    ds = load_prepared(data_path, transfer, label_column, delimiter,
+                       subsample=subsample, seed=seed)
     fam = transfer_family(transfer)
     rows = []
     with open(assignment_path) as fh:

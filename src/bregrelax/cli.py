@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -18,23 +19,46 @@ from . import bench
 from .models import MODELS, RELAXATION_MODELS, alternating_hard, soft_em, solve_relaxation
 from .rounding import matched_accuracy
 
-GRID_KEYS = ("dataset", "model", "transfer")
-SCALAR_KEYS = {
-    "label_column": str,
-    "delimiter": str,
-    "name": str,
-    "clusters": int,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "seed": int,
-    "restarts": int,
-    "subsample": int,
-    "tol": float,
-    "admm_tol": float,
-    "max_iter": int,
-    "out": str,
+
+def _label_column(value):
+    try:
+        return int(value)
+    except ValueError:
+        return value
+
+
+class Knob(NamedTuple):
+    flag: str
+    type: Callable = str
+    help: Optional[str] = None
+    choices: Optional[tuple] = None
+
+
+# Every cell knob by its config-file key, which is also the flag's dest and,
+# apart from clusters (ExperimentSpec.d) and restarts, the ExperimentSpec
+# field it sets.  In config files the grid keys take comma-separated lists.
+KNOBS = {
+    "dataset": Knob("--data", help="dataset file (delimited numeric text)"),
+    "model": Knob("--model", choices=MODELS),
+    "transfer": Knob("--transfer", choices=bench.TRANSFERS, help="default: linear"),
+    "label_column": Knob("--label-col", _label_column, "label column index or name"),
+    "delimiter": Knob("--delimiter", help="field delimiter (default: comma or whitespace)"),
+    "name": Knob("--name", help="dataset display name"),
+    "clusters": Knob("--clusters", int, "cluster count (default: the class count)"),
+    "alpha": Knob("--alpha", float, "cluster-norm weight of cond and joint's T block"),
+    "beta": Knob("--beta", float, "cluster-norm weight of joint's prior block"),
+    "gamma": Knob("--gamma", float, "cluster-norm weight of disc"),
+    "seed": Knob("--seed", int, "master seed"),
+    "restarts": Knob("--restarts", int, "rounding repeats (relaxations) or baseline restarts"),
+    "subsample": Knob("--subsample", int, "class-proportional subsample size"),
+    "tol": Knob("--tol", float, "GCG duality-gap tolerance"),
+    "admm_tol": Knob("--admm-tol", float, "ADMM residual tolerance (scaled by sqrt(t))"),
+    "max_iter": Knob("--max-iter", int, "solver iteration cap"),
+    "out": Knob("--out", help="output directory"),
 }
+GRID_KEYS = ("dataset", "model", "transfer")
+# the knobs that change what score loads; it takes no others
+SCORE_KNOBS = ("dataset", "label_column", "delimiter", "transfer", "subsample", "seed")
 
 
 def read_config(path):
@@ -47,44 +71,25 @@ def read_config(path):
         if "=" not in line:
             raise ValueError(f"{path}: line {ln}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key not in KNOBS:
+            raise ValueError(f"{path}: line {ln}: unknown key {key!r}")
         if key in GRID_KEYS:
             values[key] = [v.strip() for v in val.split(",") if v.strip()]
-        elif key in SCALAR_KEYS:
-            values[key] = SCALAR_KEYS[key](val)
         else:
-            raise ValueError(f"{path}: line {ln}: unknown key {key!r}")
+            values[key] = KNOBS[key].type(val)
     return values
 
 
-def _label_column(value):
-    if value is None:
-        return -1
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return value
+def _add_knobs(p, keys=KNOBS):
+    for key in keys:
+        knob = KNOBS[key]
+        p.add_argument(knob.flag, dest=key, type=knob.type, choices=knob.choices,
+                       help=knob.help)
 
 
-def _common_flags(p, with_model=True):
-    p.add_argument("--data", help="dataset file (delimited numeric text)")
-    p.add_argument("--label-col", default=None, help="label column index or name")
-    p.add_argument("--delimiter", default=None)
-    p.add_argument("--name", default=None, help="dataset display name")
-    if with_model:
-        p.add_argument("--model", choices=MODELS)
-    p.add_argument("--transfer", choices=bench.TRANSFERS, default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=None,
-                   help="rounding repeats (relaxations) or baseline restarts")
-    p.add_argument("--subsample", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--admm-tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
+def _flags(args):
+    """The knobs given as flags: {config key: value}."""
+    return {key: v for key, v in vars(args).items() if key in KNOBS and v is not None}
 
 
 def build_parser():
@@ -95,16 +100,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one model on one dataset")
-    _common_flags(p_solve)
+    _add_knobs(p_solve)
 
     p_bench = sub.add_parser("bench", help="run a model x transfer x dataset grid")
     p_bench.add_argument("--config", action="append", default=[],
                          help="key=value config file; repeatable")
-    _common_flags(p_bench)
+    _add_knobs(p_bench)
 
     p_score = sub.add_parser("score", help="recompute stats from saved assignments")
     p_score.add_argument("--assignments", required=True)
-    _common_flags(p_score, with_model=False)
+    _add_knobs(p_score, SCORE_KNOBS)
 
     p_table = sub.add_parser("table", help="render a results CSV as aligned text")
     p_table.add_argument("--records", required=True, help="results CSV from bench")
@@ -112,56 +117,49 @@ def build_parser():
     return parser
 
 
-def _spec_kwargs(args, config):
-    """Merge config-file values with flag overrides into spec kwargs."""
-    def pick(flag, key, cast=None):
-        v = getattr(args, flag, None)
-        if v is None:
-            v = config.get(key)
-        if v is not None and cast is not None:
-            v = cast(v)
-        return v
-
-    kw = {}
-    for flag, key, cast in (
-        ("label_col", "label_column", _label_column),
-        ("delimiter", "delimiter", None),
-        ("name", "name", None),
-        ("clusters", "clusters", int),
-        ("alpha", "alpha", float),
-        ("beta", "beta", float),
-        ("gamma", "gamma", float),
-        ("seed", "seed", int),
-        ("subsample", "subsample", int),
-        ("tol", "tol", float),
-        ("admm_tol", "admm_tol", float),
-        ("max_iter", "max_iter", int),
-        ("out", "out", None),
-    ):
-        v = pick(flag, key, cast)
-        if v is not None:
-            kw["d" if key == "clusters" else key] = v
-    restarts = pick("restarts", "restarts", int)
-    return kw, restarts
+def _make_spec(values):
+    """The ExperimentSpec of one cell from its knob values."""
+    kw = dict(values)
+    if "clusters" in kw:
+        kw["d"] = kw.pop("clusters")
+    if "restarts" in kw:
+        relaxation = kw["model"] in RELAXATION_MODELS
+        kw["rounding_restarts" if relaxation else "baseline_restarts"] = kw.pop("restarts")
+    return bench.ExperimentSpec(**kw)
 
 
-def _make_spec(dataset, model, transfer, kw, restarts):
-    spec_kw = dict(kw)
-    if restarts is not None:
-        if model in RELAXATION_MODELS:
-            spec_kw["rounding_restarts"] = restarts
-        else:
-            spec_kw["baseline_restarts"] = restarts
-    return bench.ExperimentSpec(dataset=dataset, model=model,
-                                transfer=transfer or "linear", **spec_kw)
+def _bench_grid(args):
+    """(output directory, cell specs) of a bench run.
+
+    Flags override config-file values knob by knob; the grid is every
+    dataset x model x transfer, without disc off the sigmoid transfer.
+    """
+    values = {}
+    for path in args.config:
+        values.update(read_config(path))
+    values.update({key: [v] if key in GRID_KEYS else v for key, v in _flags(args).items()})
+    out = Path(values.pop("out", None) or "bench_out")
+    datasets = values.pop("dataset", [])
+    if not datasets:
+        raise SystemExit("bench requires --data or a config with dataset=")
+    models = values.pop("model", MODELS)
+    transfers = values.pop("transfer", ["linear"])
+    specs = [
+        _make_spec({**values, "dataset": dataset, "model": model, "transfer": transfer,
+                    "out": str(out / "cells")})
+        for dataset in datasets
+        for model in models
+        for transfer in transfers
+        if model != "disc" or transfer == "sigmoid"
+    ]
+    return out, specs
 
 
 def cmd_solve(args):
-    kw, restarts = _spec_kwargs(args, {})
-    if not args.data or not args.model:
+    values = _flags(args)
+    if "dataset" not in values or "model" not in values:
         raise SystemExit("solve requires --data and --model")
-    out = kw.pop("out", None)
-    spec = _make_spec(args.data, args.model, args.transfer, kw, restarts)
+    spec = _make_spec(values)
     ds, cfg = bench.prepare(spec)
     summary = {"dataset": ds.name, "t": ds.t, "n": ds.n, "model": spec.model,
                "transfer": spec.transfer, "clusters": cfg.d}
@@ -169,8 +167,8 @@ def cmd_solve(args):
         sol = solve_relaxation(spec.model, ds.X, cfg)
         summary.update(objective=sol.objective, converged=sol.converged,
                        iterations=sol.iterations)
-        if out:
-            out_dir = Path(out)
+        if spec.out:
+            out_dir = Path(spec.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             arrays = {"M": sol.M}
             arrays.update({k: v for k, v in sol.auxiliaries.items()
@@ -189,36 +187,16 @@ def cmd_solve(args):
             objective = res.loglik
         acc, _ = matched_accuracy(labels, ds.labels)
         summary.update(objective=objective, accuracy=acc, restarts=cfg.restarts)
-        if out:
-            bench.write_cell_files(out, spec.cell_name(), assignments=[labels])
-            summary["out"] = str(Path(out))
+        if spec.out:
+            bench.write_cell_files(spec.out, spec.cell_name(), assignments=[labels])
+            summary["out"] = str(Path(spec.out))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def cmd_bench(args):
-    config = {}
-    for path in args.config:
-        config.update(read_config(path))
-    kw, restarts = _spec_kwargs(args, config)
-    out = kw.pop("out", None) or "bench_out"
-    datasets = [args.data] if args.data else config.get("dataset", [])
-    models = [args.model] if args.model else config.get("model", list(MODELS))
-    transfers = ([args.transfer] if args.transfer
-                 else config.get("transfer", ["linear"]))
-    if not datasets:
-        raise SystemExit("bench requires --data or a config with dataset=")
-    specs = []
-    for dataset in datasets:
-        for model in models:
-            for transfer in transfers:
-                if model == "disc" and transfer != "sigmoid":
-                    continue
-                spec = _make_spec(dataset, model, transfer, kw, restarts)
-                spec.out = str(Path(out) / "cells")
-                specs.append(spec)
+    out_dir, specs = _bench_grid(args)
     records, failures = bench.run_grid(specs)
-    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     bench.emit_table(records, "csv", out_dir / "results.csv")
     bench.emit_table(records, "text", out_dir / "results.txt")
@@ -236,15 +214,10 @@ def cmd_bench(args):
 
 
 def cmd_score(args):
-    stats = bench.score_assignments(
-        args.data,
-        args.assignments,
-        transfer=args.transfer or "linear",
-        label_column=_label_column(args.label_col),
-        delimiter=args.delimiter,
-        subsample=args.subsample,
-        seed=args.seed or 0,
-    )
+    values = _flags(args)
+    if "dataset" not in values:
+        raise SystemExit("score requires --data")
+    stats = bench.score_assignments(values.pop("dataset"), args.assignments, **values)
     print(json.dumps(stats, sort_keys=True))
     return 0
 

@@ -242,7 +242,7 @@ class GcgResult:
     norm_tracker: float = 0.0
 
 
-def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000, callback=None):
+def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000):
     """Generalized conditional gradient for L(T) + (alpha/2) * norm(T)^2.
 
     Starts from T = 0 with norm tracker s = 0.  Each iteration takes the
@@ -251,9 +251,10 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000, callback=None):
     model <G, S> + (alpha/2) norm(S)^2), line-searches over combinations
     a*T + b*S (``gcg_line_search``: projected Newton on (a, b), so each
     iteration costs a handful of segment evaluations), and updates
-    s <- a*s + b.  Stops when the relative decrease
-    of the majorized objective or the gap estimate, evaluated at the
-    rescaled atom, falls below ``tol``.
+    s <- a*s + b.  Stops when the gap estimate, evaluated at the rescaled
+    atom, falls below ``tol`` (``converged`` is then True), or when the
+    relative decrease of the majorized objective does (``converged``
+    stays False: a stall certifies nothing).
     """
     T = np.zeros(loss.shape)
     s = 0.0
@@ -291,11 +292,8 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000, callback=None):
         decrease = objective - new_objective
         objective = new_objective
         trace.append({"iteration": iteration, "objective": objective, "gap": gap})
-        if callback is not None:
-            callback(iteration, objective, gap)
         if decrease < tol * max(1.0, abs(objective)):
-            converged = True
-            break
+            break  # stalled: stop, but only the gap certifies convergence
 
     norm_T = cluster_norm(T, d)
     true_objective = float(loss.evaluate(T)) + 0.5 * alpha * norm_T * norm_T
@@ -428,26 +426,23 @@ class AdmmResult:
     trace: list = field(default_factory=list)
 
 
-def admm_solve(
-    X,
-    d,
-    fam="euclidean",
-    mu=1.0,
-    tol=1e-5,
-    max_iter=1000,
-    inner_tol=1e-8,
-    inner_max_iter=500,
-    adapt_mu=True,
-    callback=None,
-):
+ADMM_MU0 = 1.0
+ADMM_INNER_TOL = 1e-8
+ADMM_INNER_MAX_ITER = 500
+
+
+def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
     """Minimize D_F(X, M X) over the ``simplex`` relaxation set by ADMM.
 
     Alternates (1) row-decoupled minimization of the loss plus proximity
     to Z + mu * multiplier over row simplices, (2) projection of
     M - mu * multiplier onto the ``rowsum`` set, (3) multiplier update by
     (Z - M) / mu.  Terminates when max(primal, dual) residual drops below
-    tol * sqrt(t).  The penalty mu is rebalanced (halved or doubled) when
-    the residuals diverge by more than a factor of ten.
+    tol * sqrt(t).  The penalty mu starts at ``ADMM_MU0`` and is
+    rebalanced (halved or doubled) when the residuals diverge by more than
+    a factor of ten.  The row subproblems stop at ``ADMM_INNER_MAX_ITER``
+    iterations or at an accuracy that follows the outer residual down to
+    ``ADMM_INNER_TOL``.
 
     Returns an AdmmResult whose ``M`` satisfies the row constraints exactly
     (so M @ X stays inside the data hull) and whose ``Z`` satisfies the
@@ -464,6 +459,7 @@ def admm_solve(
     primal = dual = float("inf")
     iteration = 0
     converged = False
+    mu = ADMM_MU0
     # the euclidean row losses share the exact curvature bound lam_max(X X')
     lip = float(np.linalg.eigvalsh(X.T @ X)[-1]) if fam.name == "euclidean" else None
     eta = None if lip is not None else np.full(t, min(1.0, mu))
@@ -471,13 +467,13 @@ def admm_solve(
     for iteration in range(1, max_iter + 1):
         anchors = Z + mu * Lam
         # inexact inner solves: accuracy tracks the outer residual so early
-        # iterations stay cheap while the tail still meets inner_tol
-        itol = max(inner_tol, 0.1 * residual_scale)
+        # iterations stay cheap while the tail still meets ADMM_INNER_TOL
+        itol = max(ADMM_INNER_TOL, 0.1 * residual_scale)
         if eta is not None:
             # backtracking only shrinks steps within a call; regrow between
             # calls so one hard subproblem cannot pin the rest of the run
             np.minimum(eta * 1.5, 1e6, out=eta)
-        M = _admm_rows_pg(fam, X, M, anchors, mu, itol, inner_max_iter, lip=lip, eta=eta)
+        M = _admm_rows_pg(fam, X, M, anchors, mu, itol, ADMM_INNER_MAX_ITER, lip=lip, eta=eta)
         Z_new = project_rowsum(M - mu * Lam, d)
         Lam = Lam + (Z_new - M) / mu
         primal = float(np.linalg.norm(M - Z_new))
@@ -494,16 +490,13 @@ def admm_solve(
                 "mu": mu,
             }
         )
-        if callback is not None:
-            callback(iteration, objective, max(primal, dual))
         if max(primal, dual) < threshold:
             converged = True
             break
-        if adapt_mu:
-            if primal > 10.0 * dual and mu > 1e-6:
-                mu *= 0.5
-            elif dual > 10.0 * primal and mu < 1e6:
-                mu *= 2.0
+        if primal > 10.0 * dual and mu > 1e-6:
+            mu *= 0.5
+        elif dual > 10.0 * primal and mu < 1e6:
+            mu *= 2.0
     objective = rowwise_objective(fam, X, M)
     return AdmmResult(
         M=M,

@@ -25,7 +25,7 @@ from bregrelax import (
     stratified_subsample,
 )
 from bregrelax.bench import transfer_family
-from bregrelax.cli import main, read_config
+from bregrelax.cli import KNOBS, _bench_grid, build_parser, main, read_config
 
 from conftest import planted_euclidean
 
@@ -350,6 +350,47 @@ def test_read_config_errors(tmp_path):
         read_config(p)
 
 
+# two values for every knob, neither of them its default
+KNOB_SAMPLES = {
+    "dataset": ("a.csv", "b.csv"),
+    "model": ("joint", "alt-hard"),
+    "transfer": ("sigmoid", "linear"),
+    "label_column": ("label", "0"),
+    "delimiter": (";", "|"),
+    "name": ("blobs", "other"),
+    "clusters": ("4", "5"),
+    "alpha": ("0.001", "0.01"),
+    "beta": ("0.002", "0.02"),
+    "gamma": ("0.003", "0.03"),
+    "seed": ("7", "8"),
+    "restarts": ("3", "4"),
+    "subsample": ("12", "14"),
+    "tol": ("1e-4", "1e-3"),
+    "admm_tol": ("2e-4", "2e-3"),
+    "max_iter": ("50", "60"),
+    "out": ("o1", "o2"),
+}
+
+
+@pytest.mark.parametrize("key", list(KNOBS))
+def test_knob_config_line_and_flag_build_the_same_specs(tmp_path, key):
+    value, other = KNOB_SAMPLES[key]
+    flag = KNOBS[key].flag
+    base = [arg for k, v in (("dataset", "base.csv"), ("model", "cond")) if k != key
+            for arg in (KNOBS[k].flag, v)]
+
+    def grid(*argv):
+        return _bench_grid(build_parser().parse_args(["bench", *base, *argv]))
+
+    config, other_config = tmp_path / "value.cfg", tmp_path / "other.cfg"
+    config.write_text(f"{key} = {value}\n")
+    other_config.write_text(f"{key} = {other}\n")
+    by_flag = grid(flag, value)
+    assert grid("--config", str(config)) == by_flag
+    assert grid("--config", str(other_config), flag, value) == by_flag  # the flag wins
+    assert grid("--config", str(other_config)) != by_flag  # and the knob reaches the spec
+
+
 def test_cli_solve_baseline(tmp_path, capsys):
     p = tmp_path / "blobs.csv"
     write_blobs(p)
@@ -436,6 +477,34 @@ def test_cli_bench_score_table_roundtrip(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert text == (out1 / "results.txt").read_text()
+
+
+def test_cli_score_subsample_reproduces_bench_cell(tmp_path, capsys):
+    p = tmp_path / "blobs.csv"
+    write_blobs(p, t=24)
+    load = ["--data", str(p), "--label-col", "label", "--transfer", "sigmoid",
+            "--subsample", "10", "--seed", "3"]
+    out = tmp_path / "o"
+    assert main(["bench", *load, "--model", "alt-hard", "--restarts", "3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    row = next(csv.DictReader(io.StringIO((out / "results.csv").read_text())))
+    assert row["t"] == "10"
+    assign = out / "cells" / row["assignment_file"]
+    assert main(["score", *load, "--assignments", str(assign)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["repeats"] == 3
+    assert stats["obj_mean"] == pytest.approx(float(row["obj_mean"]), rel=1e-12)
+    assert stats["acc_mean"] == pytest.approx(float(row["acc_mean"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("flag", ["--name", "--clusters", "--alpha", "--beta", "--gamma",
+                                  "--restarts", "--tol", "--admm-tol", "--max-iter", "--out"])
+def test_cli_score_rejects_flags_that_change_nothing_it_loads(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "--data", "x.csv", "--assignments", "a.csv", flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_bench_reports_failures(tmp_path, capsys):

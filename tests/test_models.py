@@ -111,7 +111,7 @@ def test_cond_objective_indicator_input():
 
 def test_cond_jc_duplicate_groups(rng):
     X = np.repeat(np.array([[0.0, 0.0], [4.0, 1.0]]), 3, axis=0)
-    sol = solve_cond_jc(X, small_config(admm_tol=1e-7, mu=1.0))
+    sol = solve_cond_jc(X, small_config(admm_tol=1e-7))
     assert sol.objective <= 1e-8
     M_exact = equivalence_from_assignment(indicator([0, 0, 0, 1, 1, 1], 2))
     assert np.max(np.abs(sol.M - M_exact)) <= 1e-2
@@ -166,6 +166,17 @@ def test_cond_solution_contract(rng):
     assert check_membership(sol.M, 2, "centered", tol=1e-8)
     labels = spectral_round(sol.M, 2, rng=np.random.default_rng(0)).labels
     assert matched_accuracy(labels, truth)[0] == 1.0
+
+
+def test_cond_small_decrease_stop_is_not_converged():
+    # GCG stops this solve by its small-decrease rule, far from the gap
+    # tolerance: the stop must not be reported as a certificate
+    X = 5.0 * np.random.default_rng(0).normal(size=(40, 10))
+    config = ModelConfig(d=3)
+    sol = solve_cond(X, config)
+    assert sol.iterations < config.max_iter
+    assert sol.auxiliaries["gap"] > 1e3 * config.tol
+    assert not sol.converged
 
 
 # ------------------------------------------------------------------ disc
