@@ -32,8 +32,7 @@ def build_specs():
                 dataset=str(work / f"{name}.csv"),
                 model=model,
                 seed=5,
-                rounding_restarts=3,
-                baseline_restarts=5,
+                restarts=3 if model == "cond-jc" else 5,
             ))
     return specs
 

@@ -17,8 +17,8 @@ The package is organized bottom-up:
   experiment grids, result tables, command line front end.
 """
 
+# The public API is every name imported here.
 from .bench import (
-    Dataset,
     ExperimentSpec,
     ParseError,
     ResultRecord,
@@ -47,7 +47,6 @@ from .divergences import (
     pairwise_divergence,
 )
 from .geometry import (
-    RELAXATIONS,
     RangeError,
     capped_box_simplex_project,
     check_membership,
@@ -57,10 +56,7 @@ from .geometry import (
 )
 from .models import (
     MODELS,
-    RELAXATION_MODELS,
     ModelConfig,
-    RelaxationSolution,
-    SoftEmResult,
     alternating_hard,
     cond_objective,
     derived_rng,
@@ -74,8 +70,6 @@ from .models import (
     solve_relaxation,
 )
 from .rounding import (
-    ClusteringResult,
-    hard_posterior_accuracy,
     hard_reopt,
     joint_hard_reopt,
     kmeans,
@@ -86,7 +80,6 @@ from .rounding import (
 )
 from .solvers import (
     AdmmResult,
-    GcgResult,
     SmoothProblem,
     SolverDivergence,
     admm_solve,
@@ -97,70 +90,3 @@ from .solvers import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BERNOULLI_CLIP",
-    "AdmmResult",
-    "ClusteringResult",
-    "Dataset",
-    "DomainError",
-    "ExperimentSpec",
-    "GcgResult",
-    "MODELS",
-    "ModelConfig",
-    "ParseError",
-    "ResultRecord",
-    "RELAXATIONS",
-    "RELAXATION_MODELS",
-    "RangeError",
-    "RelaxationSolution",
-    "SmoothProblem",
-    "SoftEmResult",
-    "SolverDivergence",
-    "admm_solve",
-    "alternating_hard",
-    "capped_box_simplex_project",
-    "check_membership",
-    "cluster_norm",
-    "cluster_norm_dual",
-    "cluster_norm_dual_subgradient",
-    "cond_objective",
-    "derived_rng",
-    "conjugate_divergence",
-    "conjugate_divergence_grad",
-    "disc_loss",
-    "divergence",
-    "emit_table",
-    "equivalence_from_assignment",
-    "family",
-    "gcg_line_search",
-    "gcg_minimize",
-    "hard_posterior_accuracy",
-    "hard_reopt",
-    "joint_hard_reopt",
-    "joint_loss",
-    "kmeans",
-    "load_dataset",
-    "matched_accuracy",
-    "pairwise_divergence",
-    "pinv_quadratic_form",
-    "preprocess",
-    "project_rowsum",
-    "recover_equivalence",
-    "rowwise_objective",
-    "run_experiment",
-    "run_grid",
-    "score_assignments",
-    "smooth_minimize",
-    "soft_accuracy",
-    "soft_em",
-    "stratified_subsample",
-    "solve_cond",
-    "solve_cond_jc",
-    "solve_disc",
-    "solve_joint",
-    "solve_relaxation",
-    "spectral_embedding",
-    "spectral_round",
-    "spectrum_waterfill",
-]

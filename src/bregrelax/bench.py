@@ -124,7 +124,10 @@ def load_dataset(path, label_column=-1, delimiter=None, name=None):
         except ValueError:
             raise ParseError(f"{path}: no column named {label_column!r}") from None
     else:
-        label_idx = int(label_column) % width
+        label_idx = int(label_column)
+        if not -width <= label_idx < width:
+            raise ParseError(f"{path}: label column {label_idx} is outside a {width}-column file")
+        label_idx %= width
 
     feats = []
     labels = []
@@ -201,7 +204,12 @@ def stratified_subsample(ds, target, seed=0):
 
 @dataclass
 class ExperimentSpec:
-    """One benchmark cell: dataset x model x transfer plus its knobs."""
+    """One benchmark cell: dataset x model x transfer plus its knobs.
+
+    The fields are the CLI's knobs (``cli.KNOBS``) under the same names.
+    ``restarts`` counts the rounding repeats of a relaxation (default 10)
+    or a baseline's own restarts (default 30 for alt-hard, 20 for soft-em).
+    """
 
     dataset: str
     model: str
@@ -209,13 +217,12 @@ class ExperimentSpec:
     label_column: object = -1
     delimiter: Optional[str] = None
     name: Optional[str] = None
-    d: Optional[int] = None
+    clusters: Optional[int] = None
     alpha: float = ModelConfig.alpha
     beta: float = ModelConfig.beta
     gamma: float = ModelConfig.gamma
     seed: int = ModelConfig.seed
-    rounding_restarts: int = 10
-    baseline_restarts: Optional[int] = None
+    restarts: Optional[int] = None
     subsample: Optional[int] = None
     tol: float = ModelConfig.tol
     admm_tol: float = ModelConfig.admm_tol
@@ -228,8 +235,8 @@ class ExperimentSpec:
         transfer_family(self.transfer)
         if self.model == "disc" and self.transfer != "sigmoid":
             raise ValueError("disc model is defined for the sigmoid transfer only")
-        if self.baseline_restarts is None:
-            self.baseline_restarts = 20 if self.model == "soft-em" else ModelConfig.restarts
+        if self.restarts is None:
+            self.restarts = {"alt-hard": ModelConfig.restarts, "soft-em": 20}.get(self.model, 10)
 
     def cell_name(self):
         base = self.name or Path(self.dataset).stem
@@ -303,9 +310,8 @@ def load_prepared(path, transfer="linear", label_column=-1, delimiter=None, name
     return preprocess(ds, transfer)
 
 
-# the solver knobs an ExperimentSpec passes to ModelConfig under their own name
-_SHARED_KNOBS = ({f.name for f in fields(ModelConfig)}
-                 & {f.name for f in fields(ExperimentSpec)}) - {"d"}
+# the knobs an ExperimentSpec passes to ModelConfig under their own name
+_SHARED_KNOBS = {f.name for f in fields(ModelConfig)} & {f.name for f in fields(ExperimentSpec)}
 
 
 def prepare(spec):
@@ -317,9 +323,8 @@ def prepare(spec):
     ds = load_prepared(spec.dataset, spec.transfer, spec.label_column, spec.delimiter,
                        spec.name, spec.subsample, spec.seed)
     config = ModelConfig(
-        d=spec.d or ds.n_classes,
+        d=spec.clusters or ds.n_classes,
         family=transfer_family(spec.transfer),
-        restarts=spec.baseline_restarts,
         **{name: getattr(spec, name) for name in _SHARED_KNOBS},
     )
     return ds, config
@@ -328,7 +333,7 @@ def prepare(spec):
 def run_experiment(spec):
     """Execute one benchmark cell and aggregate its repeats.
 
-    Relaxation models: solve, then round `rounding_restarts` times with
+    Relaxation models: solve, then round `restarts` times with
     derived seeds, re-optimize each rounding with the model's hard
     alternation, and score.  Baselines aggregate across their own restarts
     directly.  Objectives reported are the hard clustering objective of
@@ -354,7 +359,7 @@ def run_experiment(spec):
             np.ascontiguousarray(solution.M, dtype=float).tobytes()
         ).hexdigest()
         embedding = spectral_embedding(solution.M, d)
-        for r in range(spec.rounding_restarts):
+        for r in range(spec.restarts):
             rounded = spectral_round(
                 solution.M, d, restarts=1, rng=derived_rng(spec.seed, 2, r),
                 embedding=embedding,
@@ -531,17 +536,19 @@ def score_assignments(data_path, assignment_path, transfer="linear", label_colum
     fam = transfer_family(transfer)
     rows = []
     with open(assignment_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(np.array([int(v) for v in line.split(",")], dtype=int))
+        for ln, line in enumerate(fh, start=1):
+            cells = line.strip().split(",")
+            if cells == [""]:
+                continue
+            where = f"{assignment_path}: line {ln}"
+            bad = [c.strip() for c in cells if not c.strip().isdecimal()]
+            if bad:
+                raise ParseError(f"{where}: label {bad[0]!r} is not a nonnegative integer")
+            if len(cells) != ds.t:
+                raise ValueError(f"{where}: row has {len(cells)} labels for {ds.t} points")
+            rows.append(np.array([int(c) for c in cells], dtype=int))
     if not rows:
         raise ValueError(f"{assignment_path}: no assignment rows")
-    for row in rows:
-        if row.shape[0] != ds.t:
-            raise ValueError(
-                f"{assignment_path}: row has {row.shape[0]} labels for {ds.t} points"
-            )
     objs = [cond_objective(ds.X, row, fam) for row in rows]
     accs = [matched_accuracy(row, ds.labels)[0] for row in rows]
     return {

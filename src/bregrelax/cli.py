@@ -34,9 +34,9 @@ class Knob(NamedTuple):
     choices: Optional[tuple] = None
 
 
-# Every cell knob by its config-file key, which is also the flag's dest and,
-# apart from clusters (ExperimentSpec.d) and restarts, the ExperimentSpec
-# field it sets.  In config files the grid keys take comma-separated lists.
+# Every cell knob by its config-file key, which is also the flag's dest and
+# the ExperimentSpec field it sets.  In config files the grid keys take
+# comma-separated lists.
 KNOBS = {
     "dataset": Knob("--data", help="dataset file (delimited numeric text)"),
     "model": Knob("--model", choices=MODELS),
@@ -49,7 +49,8 @@ KNOBS = {
     "beta": Knob("--beta", float, "cluster-norm weight of joint's prior block"),
     "gamma": Knob("--gamma", float, "cluster-norm weight of disc"),
     "seed": Knob("--seed", int, "master seed"),
-    "restarts": Knob("--restarts", int, "rounding repeats (relaxations) or baseline restarts"),
+    "restarts": Knob("--restarts", int, "rounding repeats of a relaxation (default 10) or "
+                     "restarts of alt-hard (30) and soft-em (20)"),
     "subsample": Knob("--subsample", int, "class-proportional subsample size"),
     "tol": Knob("--tol", float, "GCG duality-gap tolerance"),
     "admm_tol": Knob("--admm-tol", float, "ADMM residual tolerance (scaled by sqrt(t))"),
@@ -117,17 +118,6 @@ def build_parser():
     return parser
 
 
-def _make_spec(values):
-    """The ExperimentSpec of one cell from its knob values."""
-    kw = dict(values)
-    if "clusters" in kw:
-        kw["d"] = kw.pop("clusters")
-    if "restarts" in kw:
-        relaxation = kw["model"] in RELAXATION_MODELS
-        kw["rounding_restarts" if relaxation else "baseline_restarts"] = kw.pop("restarts")
-    return bench.ExperimentSpec(**kw)
-
-
 def _bench_grid(args):
     """(output directory, cell specs) of a bench run.
 
@@ -145,8 +135,8 @@ def _bench_grid(args):
     models = values.pop("model", MODELS)
     transfers = values.pop("transfer", ["linear"])
     specs = [
-        _make_spec({**values, "dataset": dataset, "model": model, "transfer": transfer,
-                    "out": str(out / "cells")})
+        bench.ExperimentSpec(**values, dataset=dataset, model=model, transfer=transfer,
+                             out=str(out / "cells"))
         for dataset in datasets
         for model in models
         for transfer in transfers
@@ -159,7 +149,7 @@ def cmd_solve(args):
     values = _flags(args)
     if "dataset" not in values or "model" not in values:
         raise SystemExit("solve requires --data and --model")
-    spec = _make_spec(values)
+    spec = bench.ExperimentSpec(**values)
     ds, cfg = bench.prepare(spec)
     summary = {"dataset": ds.name, "t": ds.t, "n": ds.n, "model": spec.model,
                "transfer": spec.transfer, "clusters": cfg.d}

@@ -105,30 +105,16 @@ def cluster_norm_dual_subgradient(R, d):
     return (U[:, :r] * (top[:r] / scale)) @ Vt[:r]
 
 
-def recover_equivalence(T, d, relaxation="centered"):
+def recover_equivalence(T, d):
     """Optimal relaxation matrix M paired with T at the squared-norm optimum.
 
     The left singular vectors of T carry the water-filled eigenvalues, so
     tr(T' M^+ T) equals the squared cluster norm and Im(T) lies within
-    Im(M).  With ``relaxation="rowsum"`` the centered solution is mapped
-    through M -> H M H + 11'/t, for callers that solved the centered
-    formulation of a row-sum constrained problem.
+    Im(M).
     """
     T = np.asarray(T, dtype=float)
-    if T.ndim == 1:
-        T = T[:, None]
     if not np.any(T):
         raise ValueError("cannot recover an equivalence matrix from T = 0")
     U, s, _ = np.linalg.svd(T, full_matrices=False)
-    cert = spectrum_waterfill(s, d)
-    sigma = cert.sigma[: s.size]
-    M = (U * sigma) @ U.T
-    if relaxation == "centered":
-        return M
-    if relaxation == "rowsum":
-        t = M.shape[0]
-        ones = np.ones(t)
-        HM = M - np.outer(ones, M.mean(axis=0))
-        HMH = HM - np.outer(HM.mean(axis=1), ones)
-        return 0.5 * (HMH + HMH.T) + 1.0 / t
-    raise ValueError(f"unsupported target relaxation {relaxation!r}")
+    sigma = spectrum_waterfill(s, d).sigma[: s.size]
+    return (U * sigma) @ U.T

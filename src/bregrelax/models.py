@@ -19,7 +19,6 @@ restart one ``rounding.hard_reopt`` run) and ``soft-em`` (mixture EM).
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -100,13 +99,7 @@ def cond_objective(X, labels, fam="euclidean"):
     """sum_i D_F(x_i, mean of x_i's cluster) for a hard clustering."""
     fam = family(fam)
     X = fam.check_domain(X)
-    labels = np.asarray(labels)
-    if labels.ndim == 2:
-        rows = labels.sum(axis=1)
-        if not (np.all((labels == 0) | (labels == 1)) and np.all(rows == 1)):
-            raise ValueError("indicator matrix must have one-hot rows")
-        labels = labels.argmax(axis=1)
-    labels = labels.astype(int).ravel()
+    labels = np.asarray(labels).astype(int).ravel()
     d = int(labels.max()) + 1
     centers, _ = cluster_means(X, labels, d)
     return float(divergence(fam, X, centers[labels]))
@@ -133,8 +126,12 @@ def _recover(T, d):
 
 
 def _curvature(fam, Y):
-    """d f_inv / dz at z = f(Y), i.e. 1 / f'(Y): the Hessian of F* there."""
-    with np.errstate(divide="ignore"):
+    """d f_inv / dz at z = f(Y), i.e. 1 / f'(Y): the Hessian of F* there.
+
+    Where the sigmoid saturates, Y (1 - Y) underflows, f'(Y) overflows to
+    inf and the curvature is the intended 0.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
         return 1.0 / fam.transfer_derivative(Y)
 
 
@@ -425,15 +422,9 @@ def alternating_restarts(X, config):
 
 
 def alternating_hard(X, config):
-    """Bregman k-means with random restarts; returns the best fixed point.
-
-    ``restarts_summary`` carries (mean, std) of the restart objectives.
-    """
+    """Bregman k-means with random restarts; returns the best fixed point."""
     results = alternating_restarts(X, config)
-    objectives = np.array([r.objective for r in results])
-    best = results[int(np.argmin(objectives))]
-    best.restarts_summary = (float(objectives.mean()), float(objectives.std()))
-    return best
+    return results[int(np.argmin([r.objective for r in results]))]
 
 
 @dataclass
@@ -444,7 +435,6 @@ class SoftEmResult:
     loglik: float
     iterations: int
     trace: list = field(default_factory=list)
-    restarts_summary: Optional[tuple] = None
 
 
 def _em_once(X, d, fam, rng, max_iter=300, tol=1e-9):
@@ -495,7 +485,4 @@ def soft_em(X, config):
     trace is nondecreasing within each restart.
     """
     results = soft_em_restarts(X, config)
-    logliks = np.array([r.loglik for r in results])
-    best = results[int(np.argmax(logliks))]
-    best.restarts_summary = (float(logliks.mean()), float(logliks.std()))
-    return best
+    return results[int(np.argmax([r.loglik for r in results]))]

@@ -38,12 +38,7 @@ class ClusteringResult:
     objective: float
     iterations: int = 0
     weights: Optional[np.ndarray] = None
-    restarts_summary: Optional[tuple] = None
     trace: list = field(default_factory=list)
-
-    @property
-    def n_clusters(self):
-        return self.centers.shape[0]
 
 
 def cluster_means(X, labels, d):
@@ -218,15 +213,12 @@ def spectral_round(M, d, restarts=10, rng=None, embedding=None):
     rng = np.random.default_rng(rng)
     V = spectral_embedding(M, d) if embedding is None else embedding
     best = None
-    inertias = []
     for _ in range(max(restarts, 1)):
         labels, centers, inertia = kmeans(V, d, rng)
-        inertias.append(inertia)
         if best is None or inertia < best.objective:
             best = ClusteringResult(
                 labels=labels, centers=centers, objective=inertia, iterations=1
             )
-    best.restarts_summary = (float(np.mean(inertias)), float(np.std(inertias)))
     return best
 
 
@@ -269,18 +261,3 @@ def soft_accuracy(posteriors, truth):
     rows, cols = scipy.optimize.linear_sum_assignment(table, maximize=True)
     matching = {int(r): int(cc) for r, cc in zip(rows, cols)}
     return float(table[rows, cols].sum() / truth.size), matching
-
-
-def hard_posterior_accuracy(q, centers, X, truth, fam="euclidean"):
-    """Accuracy of MAP assignments argmax_j [log q_j - D_F(x_i, mu_j)].
-
-    ``q`` is a prior over clusters; a zero entry rules its cluster out.
-    """
-    fam = family(fam)
-    X = fam.check_domain(X)
-    with np.errstate(divide="ignore"):
-        logq = np.log(np.asarray(q, dtype=float).ravel())
-    scores = logq[None, :] - pairwise_divergence(fam, X, centers)
-    labels = scores.argmax(axis=1)
-    acc, _ = matched_accuracy(labels, truth)
-    return acc

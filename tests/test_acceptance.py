@@ -256,7 +256,7 @@ def test_criterion_09_convex_beats_alternating_baseline():
         # best-of-30 alternating baseline on identical preprocessed data
         alt = run_experiment(ExperimentSpec(dataset=path, model="alt-hard",
                                             transfer="linear", subsample=sub,
-                                            baseline_restarts=30))
+                                            restarts=30))
         prep = preprocess(stratified_subsample(load_dataset(path), sub)
                           if sub else load_dataset(path), "linear")
         best_alt = min(cond_objective(prep.X, a) for a in alt.assignments)
@@ -282,8 +282,8 @@ def test_criterion_10_benchmark_determinism(tmp_path):
         for p in paths:
             for model in ("cond-jc", "alt-hard", "soft-em"):
                 specs.append(ExperimentSpec(dataset=str(p), model=model,
-                                            seed=9, rounding_restarts=3,
-                                            baseline_restarts=4,
+                                            seed=9,
+                                            restarts=3 if model == "cond-jc" else 4,
                                             out=str(out / "cells")))
         records, failures = run_grid(specs)
         assert not failures

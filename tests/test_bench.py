@@ -7,6 +7,8 @@ round-trips run in-process through main(argv).
 import csv
 import io
 import json
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -91,6 +93,15 @@ def test_load_dataset_non_numeric_cell(tmp_path):
     p.write_text("1.0,2.0,a\noops,4.0,b\n")
     with pytest.raises(ParseError, match="line 2, column 1"):
         load_dataset(p)
+
+
+@pytest.mark.parametrize("column", [3, 7, -4])
+def test_load_dataset_rejects_label_column_out_of_range(tmp_path, column):
+    p = tmp_path / "three.csv"
+    p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
+    with pytest.raises(ParseError, match=f"label column {column} is outside a 3-column file"):
+        load_dataset(p, label_column=column)
+    assert load_dataset(p, label_column=-3).classes == ("1.0", "3.0")
 
 
 def test_load_dataset_empty_file(tmp_path):
@@ -186,7 +197,7 @@ def test_run_experiment_alt_hard_planted(tmp_path):
     p = tmp_path / "blobs.csv"
     write_blobs(p)
     spec = ExperimentSpec(dataset=str(p), model="alt-hard", label_column="label",
-                          baseline_restarts=5, seed=1)
+                          restarts=5, seed=1)
     rec = run_experiment(spec)
     assert rec.t == 16 and rec.n == 2 and rec.clusters == 2
     assert rec.m_sha256 == ""  # baselines have no relaxation matrix
@@ -205,7 +216,7 @@ def test_run_experiment_deterministic(tmp_path):
     p = tmp_path / "blobs.csv"
     write_blobs(p)
     spec = ExperimentSpec(dataset=str(p), model="soft-em", label_column="label",
-                          baseline_restarts=4, seed=7)
+                          restarts=4, seed=7)
     a, b = run_experiment(spec), run_experiment(spec)
     row_a = emit_table([a]).splitlines()[1]
     row_b = emit_table([b]).splitlines()[1]
@@ -219,7 +230,7 @@ def test_run_experiment_relaxation_cell_roundtrip(tmp_path):
     write_blobs(p)
     out = tmp_path / "cells"
     spec = ExperimentSpec(dataset=str(p), model="cond-jc", label_column="label",
-                          rounding_restarts=3, seed=2, out=str(out))
+                          restarts=3, seed=2, out=str(out))
     rec = run_experiment(spec)
     assert rec.acc_mean == 1.0
     assert len(rec.m_sha256) == 64  # sha256 of the relaxation matrix
@@ -235,7 +246,7 @@ def test_run_grid_isolates_failures(tmp_path):
     p = tmp_path / "blobs.csv"
     write_blobs(p)
     good = ExperimentSpec(dataset=str(p), model="alt-hard", label_column="label",
-                          baseline_restarts=3)
+                          restarts=3)
     bad = ExperimentSpec(dataset=str(tmp_path / "missing.csv"), model="alt-hard")
     records, failures = run_grid([good, bad])
     assert len(records) == 1 and len(failures) == 1
@@ -251,7 +262,7 @@ def test_experiment_spec_validation(tmp_path):
 
 def test_score_assignments_validation(tmp_path):
     p = tmp_path / "blobs.csv"
-    write_blobs(p)
+    _, labels = write_blobs(p)
     a = tmp_path / "assign.csv"
     a.write_text("\n")
     with pytest.raises(ValueError, match="no assignment rows"):
@@ -259,6 +270,12 @@ def test_score_assignments_validation(tmp_path):
     a.write_text("0,1,0\n")
     with pytest.raises(ValueError, match="labels for"):
         score_assignments(p, a, label_column="label")
+    # a label that is not a cluster index, on line 2 after a valid row
+    row = [str(v) for v in labels]
+    for bad in ("-1", "1.5", "x"):
+        a.write_text(",".join(row) + "\n" + ",".join(row[:-1] + [bad]) + "\n")
+        with pytest.raises(ParseError, match=f"assign.csv: line 2: label '{re.escape(bad)}'"):
+            score_assignments(p, a, label_column="label")
 
 
 # -------------------------------------------------------------------- tables
@@ -389,6 +406,10 @@ def test_knob_config_line_and_flag_build_the_same_specs(tmp_path, key):
     assert grid("--config", str(config)) == by_flag
     assert grid("--config", str(other_config), flag, value) == by_flag  # the flag wins
     assert grid("--config", str(other_config)) != by_flag  # and the knob reaches the spec
+
+
+def test_knob_keys_are_the_spec_fields():
+    assert set(KNOBS) == {f.name for f in fields(ExperimentSpec)}
 
 
 def test_cli_solve_baseline(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Each demo script runs to completion in a fresh interpreter."""
+"""Each demo script, and the README quick start, runs in a fresh interpreter."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["bench_grid.py", "norm_waterfill.py", "planted_pipeline.py"])
-def test_demo_runs(demo, tmp_path):
+def run_python(args, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    # TMPDIR keeps the files a demo writes inside the test's own directory
+    # TMPDIR keeps the files a script writes inside the test's own directory
     env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, *args],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -24,3 +24,16 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", ["bench_grid.py", "norm_waterfill.py", "planted_pipeline.py"])
+def test_demo_runs(demo, tmp_path):
+    run_python([str(ROOT / "demos" / demo)], tmp_path)
+
+
+def test_readme_quick_start_recovers_the_clusters(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert run_python(["-c", code], tmp_path).strip() == "1.0"

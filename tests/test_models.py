@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -95,15 +96,6 @@ def test_cond_objective_scalar_split():
         for rest in itertools.product(range(2), repeat=3)
     )
     assert best == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cond_objective_indicator_input():
-    X = np.array([[0.0], [0.0], [1.0], [1.0]])
-    Y = indicator([0, 1, 0, 1], 2)
-    assert cond_objective(X, Y) == pytest.approx(0.5, rel=1e-12)
-    bad = np.array([[1, 1], [1, 0], [0, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        cond_objective(X, bad)
 
 
 # --------------------------------------------------------------- cond-jc
@@ -348,6 +340,22 @@ def test_segment_matches_central_differences(rng, model, fam):
     assert np.allclose(hess, want_hess, rtol=1e-4, atol=1e-5 * np.max(np.abs(hess)))
 
 
+def test_bernoulli_segment_saturated_entry_has_zero_curvature():
+    # sigma(-720) (1 - sigma(-720)) is subnormal: its reciprocal overflows
+    X = np.full((3, 2), 0.5)
+    loss = _cond_problem(X, family("bernoulli"))
+    T = np.zeros(X.shape)
+    T[0, 0] = -720.0
+    S = np.zeros(X.shape)
+    S[0, 0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, grad, hess = loss.segment(T, S)(1.0, 0.0)
+    assert np.isfinite(val) and np.all(np.isfinite(grad))
+    # the segment moves only the saturated entry, so all its curvature is 0
+    assert np.array_equal(hess, np.zeros((2, 2)))
+
+
 def test_disc_segment_curvature_bounds_envelope(rng):
     X, _ = planted_bernoulli(8, 2, rng)
     disc = DiscriminativeLoss(X)
@@ -380,10 +388,6 @@ def test_alternating_matches_exhaustive(rng):
     res = alternating_hard(X, small_config(restarts=12, seed=5))
     best, _ = exhaustive_hard_optimum(X, 2)
     assert res.objective == pytest.approx(best, rel=1e-10)
-    assert res.restarts_summary is not None
-    mean, std = res.restarts_summary
-    assert mean >= res.objective - 1e-12
-    assert std >= 0.0
 
 
 def test_alternating_is_deterministic_under_seed(rng):
@@ -448,7 +452,6 @@ def test_soft_em_monotone_and_calibrated(rng):
     assert np.allclose(res.posteriors.sum(axis=1), 1.0, atol=1e-10)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-8)
     assert matched_accuracy(res.posteriors.argmax(axis=1), truth)[0] == 1.0
-    assert res.restarts_summary is not None
 
 
 def test_models_tuple_is_public():
