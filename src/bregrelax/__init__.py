@@ -41,17 +41,13 @@ from .divergences import (
     BERNOULLI_CLIP,
     DomainError,
     conjugate_divergence,
-    conjugate_divergence_grad,
     divergence,
     family,
     pairwise_divergence,
 )
 from .geometry import (
-    RangeError,
     capped_box_simplex_project,
     check_membership,
-    equivalence_from_assignment,
-    pinv_quadratic_form,
     project_rowsum,
 )
 from .models import (
@@ -60,8 +56,6 @@ from .models import (
     alternating_hard,
     cond_objective,
     derived_rng,
-    disc_loss,
-    joint_loss,
     soft_em,
     solve_cond,
     solve_cond_jc,

@@ -237,6 +237,8 @@ class ExperimentSpec:
             raise ValueError("disc model is defined for the sigmoid transfer only")
         if self.restarts is None:
             self.restarts = {"alt-hard": ModelConfig.restarts, "soft-em": 20}.get(self.model, 10)
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
     def cell_name(self):
         base = self.name or Path(self.dataset).stem

@@ -175,19 +175,6 @@ def conjugate_divergence(fam, A, B):
     return max(float(val), 0.0)
 
 
-def conjugate_divergence_grad(fam, A, B):
-    """Gradient of conjugate_divergence in its first argument.
-
-    Coordinate-wise f_inv(A) - f_inv(B), since grad F* = f_inv.
-    """
-    fam = family(fam)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return fam.inverse_transfer(A) - fam.inverse_transfer(B)
-
-
 def pairwise_divergence(fam, X, C):
     """Matrix of D_F(X[i], C[j]) for all data rows i and center rows j.
 

@@ -26,21 +26,6 @@ import scipy.linalg
 
 RELAXATIONS = ("simplex", "rowsum", "centered")
 
-# Eigenvalues below RANK_RTOL * (largest eigenvalue) are treated as zero.
-RANK_RTOL = 1e-9
-
-
-class RangeError(ValueError):
-    """A quadratic form tr(T' M^+ T) was requested outside the range of M."""
-
-    def __init__(self, residual, tol):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(
-            f"columns leave the range of M: projection residual {residual:.3e} "
-            f"exceeds tolerance {tol:.3e}"
-        )
-
 
 @dataclass
 class MembershipReport:
@@ -53,37 +38,6 @@ class MembershipReport:
 
     def __bool__(self):
         return self.ok
-
-
-def equivalence_from_assignment(Y):
-    """Normalized equivalence matrix M = Y diag(Y'1)^+ Y' of a hard assignment.
-
-    ``Y`` is a (t, d) 0/1 matrix with one 1 per row.  Empty clusters simply
-    contribute nothing.  The result satisfies M' = M and M @ M = M; when no
-    cluster is empty it also satisfies M 1 = 1.
-    """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("assignment must be a 2-d matrix")
-    onehot = np.all((Y == 0.0) | (Y == 1.0))
-    if not onehot or not np.all(Y.sum(axis=1) == 1.0):
-        bad = int(np.flatnonzero(Y.sum(axis=1) != 1.0)[0]) if Y.size else 0
-        raise ValueError(f"row {bad} of the assignment is not one-hot")
-    counts = Y.sum(axis=0)
-    inv = np.where(counts > 0, 1.0 / np.where(counts > 0, counts, 1.0), 0.0)
-    return (Y * inv) @ Y.T
-
-
-def indicator(labels, d):
-    """One-hot (t, d) assignment matrix from integer labels in [0, d)."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a vector")
-    if labels.size and (labels.min() < 0 or labels.max() >= d):
-        raise ValueError("labels out of range")
-    Y = np.zeros((labels.size, d))
-    Y[np.arange(labels.size), labels] = 1.0
-    return Y
 
 
 def check_membership(M, d, relaxation="rowsum", tol=1e-8):
@@ -193,30 +147,3 @@ def project_rowsum(A, d):
     mu = capped_box_simplex_project(eigvals, d - 1)
     T = (eigvecs * mu) @ eigvecs.T
     return T + 1.0 / t
-
-
-def pinv_quadratic_form(M, T, rank_rtol=RANK_RTOL, range_tol=1e-6):
-    """tr(T' M^+ T) for symmetric PSD M, requiring Im(T) within Im(M).
-
-    Eigenvalues below ``rank_rtol`` times the largest are treated as zero.
-    If the residual of T after projection onto the retained eigenspace
-    exceeds ``range_tol`` relative to ||T||_F, a RangeError is raised.
-    """
-    M = np.asarray(M, dtype=float)
-    T = np.asarray(T, dtype=float)
-    if T.ndim == 1:
-        T = T[:, None]
-    if M.shape[0] != M.shape[1] or M.shape[0] != T.shape[0]:
-        raise ValueError("incompatible shapes")
-    M = 0.5 * (M + M.T)
-    eigvals, eigvecs = scipy.linalg.eigh(M)
-    cutoff = rank_rtol * max(float(np.max(eigvals, initial=0.0)), 0.0)
-    keep = eigvals > max(cutoff, 0.0)
-    U = eigvecs[:, keep]
-    proj = U @ (U.T @ T)
-    tnorm = np.linalg.norm(T)
-    residual = np.linalg.norm(T - proj)
-    if residual > range_tol * max(tnorm, 1e-300):
-        raise RangeError(residual, range_tol * tnorm)
-    coeffs = U.T @ T
-    return float(np.sum(coeffs**2 / eigvals[keep, None]))

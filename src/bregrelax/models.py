@@ -81,6 +81,8 @@ class ModelConfig:
         for name in ("alpha", "beta", "gamma", "tol", "admm_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         family(self.family)  # raises on unknown names
 
 
@@ -204,24 +206,6 @@ def _disc_terms(Z0, tau):
     return (lse.sum() - np.trace(Z0) - tau.sum()) / Z0.shape[0], P
 
 
-def disc_loss(V, tau, X):
-    """Self-classification loss for scores Z = X V' / t + 1 tau'.
-
-    Each point doubles as its own class; the loss is the mean logistic
-    error of predicting point i's own identity,
-    mean_i [logsumexp(Z_i) - Z_ii].  Returns (value, grad_V, grad_tau).
-    """
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    tau = np.asarray(tau, dtype=float).ravel()
-    t = X.shape[0]
-    if V.shape != X.shape or tau.shape[0] != t:
-        raise ValueError("V must match X and tau must have one entry per point")
-    value, P = _disc_terms(X @ V.T / t, tau)
-    R = (P - np.eye(t)) / t
-    return float(value), R.T @ X / t, R.sum(axis=0)
-
-
 class DiscriminativeLoss:
     """Self-classification loss with the bias vector minimized out.
 
@@ -315,7 +299,7 @@ def solve_disc(X, config):
 
 
 def _joint_terms(fam, u, T, X, FX):
-    """The joint loss at (u, T) given FX = f(X).
+    """The joint loss lse(u/t) - mean(u) + D_F*(T, f(X)) / t, given FX = f(X).
 
     Returns (value, grad_u, grad_T, softmax of u/t, f_inv(T)); the last
     two carry the curvature of the u and T blocks.
@@ -325,15 +309,6 @@ def _joint_terms(fam, u, T, X, FX):
     Y = fam.inverse_transfer(T)
     val = lse - float(np.mean(u)) + conjugate_divergence(fam, T, FX) / t
     return val, (sm - 1.0) / t, (Y - X) / t, sm, Y
-
-
-def joint_loss(u, T, X, fam):
-    """Relaxed joint objective: lse(u/t) - mean(u) + D_F*(T, f(X)) / t.
-
-    Returns (value, grad_u, grad_T).
-    """
-    fam = family(fam)
-    return _joint_terms(fam, u, T, X, fam.transfer(X))[:3]
 
 
 def _joint_problem(X, fam, ra, rb):

@@ -20,7 +20,9 @@ import scipy.optimize
 from scipy.special import logsumexp
 
 from .divergences import family, pairwise_divergence
-from .geometry import RANK_RTOL
+
+# Eigenvalues below RANK_RTOL * (largest eigenvalue) are treated as zero.
+RANK_RTOL = 1e-9
 
 
 @dataclass

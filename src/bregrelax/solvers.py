@@ -43,8 +43,9 @@ class SmoothProblem:
     """A smooth objective with gradient oracle over a fixed array shape.
 
     ``value_and_grad`` maps an array of ``shape`` to ``(value, gradient)``.
-    ``value`` may be supplied when the objective alone is cheaper.
-    ``segment`` may be supplied as a fast evaluator for line searches:
+    ``value``, an objective-only callable, is carried for callers that
+    wrap problems (the perfbench tracer counts it); no solver reads it.
+    ``segment`` is the line-search evaluator, required by GCG:
     ``segment(T, S)`` returns a callable ``phi(a, b) -> (value, grad_ab,
     hess_ab)`` giving the value at ``a*T + b*S``, its gradient in (a, b)
     (``<grad L, T>``, ``<grad L, S>``) and a symmetric 2x2 curvature.  The
@@ -57,11 +58,6 @@ class SmoothProblem:
     value: Optional[Callable] = None
     segment: Optional[Callable] = None
     x0: Optional[np.ndarray] = None
-
-    def evaluate(self, x):
-        if self.value is not None:
-            return self.value(x)
-        return self.value_and_grad(x)[0]
 
 
 @dataclass
@@ -124,30 +120,6 @@ def smooth_minimize(problem, tol=1e-8, max_iter=500):
     return SmoothResult(x.reshape(shape), float(f), gnorm, total_it, converged)
 
 
-def _default_segment(loss, T, S):
-    """Segment evaluator built from ``loss.value_and_grad`` alone.
-
-    The gradient in (a, b) is exact; the 2x2 curvature is a forward
-    difference of the two directional gradients, one extra gradient call
-    per direction, symmetrized.
-    """
-
-    def directional(W):
-        v, G = loss.value_and_grad(W)
-        return v, np.array([np.sum(G * T), np.sum(G * S)])
-
-    def phi(a, b):
-        W = a * T + b * S
-        v, g = directional(W)
-        h = 1e-6 * (1.0 + abs(a) + abs(b))
-        H = np.column_stack(
-            [(directional(W + h * T)[1] - g) / h, (directional(W + h * S)[1] - g) / h]
-        )
-        return v, g, 0.5 * (H + H.T)
-
-    return phi
-
-
 def _quadrant_newton(p, g, H):
     """Minimize the model g.(x-p) + (x-p)'H(x-p)/2 over x >= 0 (2-d).
 
@@ -187,11 +159,10 @@ def gcg_line_search(loss, T, S, s, alpha):
     An exactly quadratic L takes one step.  Stops when the model promises
     less than roundoff, 1e-14 (1 + |phi|), or after 50 steps.
 
-    Derivatives come from ``loss.segment`` when supplied, otherwise from
-    ``_default_segment``.  A non-finite value at the atom raises
-    SolverDivergence.
+    Derivatives come from ``loss.segment``.  A non-finite value at the
+    atom raises SolverDivergence.
     """
-    seg = loss.segment(T, S) if loss.segment is not None else _default_segment(loss, T, S)
+    seg = loss.segment(T, S)
     pen_dir = np.array([s, 1.0])
     pen_hess = alpha * np.outer(pen_dir, pen_dir)
 
@@ -254,8 +225,11 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000):
     s <- a*s + b.  Stops when the gap estimate, evaluated at the rescaled
     atom, falls below ``tol`` (``converged`` is then True), or when the
     relative decrease of the majorized objective does (``converged``
-    stays False: a stall certifies nothing).
+    stays False: a stall certifies nothing).  ``loss`` is a SmoothProblem
+    whose ``segment`` must be set; a ValueError says so otherwise.
     """
+    if loss.segment is None:
+        raise ValueError("gcg_minimize needs loss.segment for its line search")
     T = np.zeros(loss.shape)
     s = 0.0
     f, G = loss.value_and_grad(T)
@@ -296,11 +270,10 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000):
             break  # stalled: stop, but only the gap certifies convergence
 
     norm_T = cluster_norm(T, d)
-    true_objective = float(loss.evaluate(T)) + 0.5 * alpha * norm_T * norm_T
     return GcgResult(
         T=T,
         norm=norm_T,
-        objective=true_objective,
+        objective=float(f) + 0.5 * alpha * norm_T * norm_T,
         iterations=iteration,
         converged=converged,
         gap=gap,

@@ -260,6 +260,12 @@ def test_experiment_spec_validation(tmp_path):
         ExperimentSpec(dataset="x.csv", model="disc", transfer="linear")
 
 
+@pytest.mark.parametrize("model", ["alt-hard", "cond"])
+def test_experiment_spec_rejects_restarts_below_one(model):
+    with pytest.raises(ValueError, match="restarts"):
+        ExperimentSpec(dataset="x.csv", model=model, restarts=0)
+
+
 def test_score_assignments_validation(tmp_path):
     p = tmp_path / "blobs.csv"
     _, labels = write_blobs(p)

@@ -6,12 +6,11 @@ from bregrelax import (
     cluster_norm,
     cluster_norm_dual,
     cluster_norm_dual_subgradient,
-    pinv_quadratic_form,
     recover_equivalence,
     spectrum_waterfill,
 )
 
-from conftest import grid_norm_squared, random_feasible_sigma
+from conftest import grid_norm_squared, pinv_quadratic_form, random_feasible_sigma
 
 
 def test_waterfill_three_two_one():

@@ -5,12 +5,12 @@ from bregrelax import (
     BERNOULLI_CLIP,
     DomainError,
     conjugate_divergence,
-    conjugate_divergence_grad,
     divergence,
     family,
     pairwise_divergence,
 )
 from bregrelax.divergences import logsumexp_value_grad
+from bregrelax.models import _cond_problem
 
 from conftest import finite_difference_gradient
 
@@ -131,19 +131,27 @@ def test_conjugate_divergence_zero_at_equal(rng):
     assert conjugate_divergence("bernoulli", A, A) == pytest.approx(0.0, abs=1e-14)
 
 
+# The gradient of D_F*(T, f(X)) in T is the one ``cond`` descends:
+# f_inv(T) - X, from ``_cond_problem``.
+
+
 def test_conjugate_grad_euclidean_is_difference(rng):
     A = rng.normal(size=(3, 2))
-    B = rng.normal(size=(3, 2))
-    assert np.allclose(conjugate_divergence_grad("euclidean", A, B), A - B)
-    assert np.allclose(conjugate_divergence_grad("euclidean", A, A), 0.0)
+    X = rng.normal(size=(3, 2))
+    loss = _cond_problem(X, family("euclidean"))
+    assert np.allclose(loss.value_and_grad(A)[1], A - X)
+    assert np.allclose(loss.value_and_grad(X)[1], 0.0)
 
 
 def test_conjugate_grad_matches_finite_differences(rng):
     for name in ("euclidean", "bernoulli"):
+        fam = family(name)
         A = rng.normal(size=(4, 3))
-        B = rng.normal(size=(4, 3))
-        grad = conjugate_divergence_grad(name, A, B)
-        fd = finite_difference_gradient(lambda Z: conjugate_divergence(name, Z, B), A)
+        X = fam.inverse_transfer(rng.normal(size=(4, 3)))
+        loss = _cond_problem(X, fam)
+        value, grad = loss.value_and_grad(A)
+        assert value == conjugate_divergence(fam, A, fam.transfer(X))
+        fd = finite_difference_gradient(lambda Z: loss.value_and_grad(Z)[0], A)
         assert np.linalg.norm(fd - grad) <= 1e-5 * (1.0 + np.linalg.norm(grad))
 
 

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from bregrelax import (
-    RangeError,
-    capped_box_simplex_project,
-    check_membership,
-    equivalence_from_assignment,
-    pinv_quadratic_form,
-    project_rowsum,
-)
-from bregrelax.geometry import indicator, simplex_project_rows
+from bregrelax import capped_box_simplex_project, check_membership, project_rowsum
+from bregrelax.geometry import simplex_project_rows
 
-from conftest import cvxpy_project_rowsum, require_cvxpy, simplex_project
+from conftest import (
+    RangeError,
+    cvxpy_project_rowsum,
+    equivalence_from_assignment,
+    indicator,
+    pinv_quadratic_form,
+    require_cvxpy,
+    simplex_project,
+)
 
 
 def test_equivalence_singletons_is_identity():

@@ -12,12 +12,9 @@ from bregrelax import (
     cluster_norm,
     cond_objective,
     conjugate_divergence,
-    disc_loss,
     derived_rng,
-    equivalence_from_assignment,
     family,
     joint_hard_reopt,
-    joint_loss,
     matched_accuracy,
     rowwise_objective,
     soft_em,
@@ -28,13 +25,19 @@ from bregrelax import (
     solve_relaxation,
     spectral_round,
 )
-from bregrelax.geometry import indicator
-from bregrelax.models import DiscriminativeLoss, _cond_problem, _joint_problem
-from bregrelax.solvers import SmoothProblem
+from bregrelax.models import (
+    DiscriminativeLoss,
+    _cond_problem,
+    _disc_terms,
+    _joint_problem,
+    _joint_terms,
+)
 
 from conftest import (
+    equivalence_from_assignment,
     exhaustive_hard_optimum,
     finite_difference_gradient,
+    indicator,
     planted_bernoulli,
     planted_euclidean,
 )
@@ -56,6 +59,11 @@ def test_config_validation():
         ModelConfig(d=2, alpha=0.0)
     with pytest.raises(ValueError):
         ModelConfig(d=2, family="cauchy")
+
+
+def test_config_rejects_restarts_below_one(rng):
+    with pytest.raises(ValueError, match="restarts"):
+        alternating_hard(rng.normal(size=(6, 2)), ModelConfig(d=2, restarts=0))
 
 
 def test_solve_relaxation_rejects_unknown_model(rng):
@@ -175,19 +183,27 @@ def test_cond_small_decrease_stop_is_not_converged():
 
 
 def test_disc_loss_zero_scores():
-    X = np.zeros((4, 3))
-    val, gV, gtau = disc_loss(np.zeros((4, 3)), np.zeros(4), X)
+    value, P = _disc_terms(np.zeros((4, 4)), np.zeros(4))
+    assert value == pytest.approx(np.log(4.0), rel=1e-12)
+    assert np.allclose(P, 0.25)
+    disc = DiscriminativeLoss(np.zeros((4, 3)))
+    val, gV = disc.value_and_grad(np.zeros((4, 3)))
     assert val == pytest.approx(np.log(4.0), rel=1e-12)
-    assert gV.shape == (4, 3) and gtau.shape == (4,)
+    assert gV.shape == (4, 3) and disc.tau.shape == (4,)
 
 
 def test_disc_loss_gradients_match_finite_differences(rng):
+    # V: the envelope gradient GCG descends (bias minimized out);
+    # tau: the gradient (P.sum(0) - 1) / t the bias solve descends
     X = rng.normal(size=(5, 3))
     V = rng.normal(size=(5, 3))
     tau = rng.normal(size=5)
-    _, gV, gtau = disc_loss(V, tau, X)
-    fdV = finite_difference_gradient(lambda W: disc_loss(W, tau, X)[0], V)
-    fdt = finite_difference_gradient(lambda s: disc_loss(V, s, X)[0], tau)
+    disc = DiscriminativeLoss(X)
+    _, gV = disc.value_and_grad(V)
+    fdV = finite_difference_gradient(lambda W: disc.value_and_grad(W)[0], V)
+    Z0 = X @ V.T / len(X)
+    gtau = (_disc_terms(Z0, tau)[1].sum(axis=0) - 1.0) / len(X)
+    fdt = finite_difference_gradient(lambda s: _disc_terms(Z0, s)[0], tau)
     assert np.max(np.abs(gV - fdV)) <= 1e-5 * (1.0 + np.max(np.abs(gV)))
     assert np.max(np.abs(gtau - fdt)) <= 1e-5 * (1.0 + np.max(np.abs(gtau)))
 
@@ -195,20 +211,12 @@ def test_disc_loss_gradients_match_finite_differences(rng):
 def test_disc_loss_single_bias_monotone():
     # pushing one bias up helps only that example's self term; the other
     # t-1 rows pay for it, so the total grows
-    X = np.zeros((5, 2))
     vals = []
     for c in (0.5, 1.5, 3.0, 6.0):
         tau = np.zeros(5)
         tau[2] = c
-        vals.append(disc_loss(np.zeros((5, 2)), tau, X)[0])
+        vals.append(_disc_terms(np.zeros((5, 5)), tau)[0])
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_disc_loss_validates_shapes():
-    with pytest.raises(ValueError):
-        disc_loss(np.zeros((3, 2)), np.zeros(4), np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        disc_loss(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 2)))
 
 
 def test_solve_disc_zero_data():
@@ -228,7 +236,7 @@ def test_solve_disc_planted_recovery(rng):
     labels = spectral_round(sol.M, 2, rng=np.random.default_rng(0)).labels
     assert matched_accuracy(labels, truth)[0] == 1.0
     V, tau = sol.auxiliaries["V"], sol.auxiliaries["tau"]
-    recomputed = disc_loss(V, tau, X)[0] + 0.5 * 1e-4 * cluster_norm(V, 2) ** 2
+    recomputed = _disc_terms(X @ V.T / len(X), tau)[0] + 0.5 * 1e-4 * cluster_norm(V, 2) ** 2
     assert sol.objective == pytest.approx(recomputed, abs=1e-8)
     assert check_membership(sol.M, 2, "centered", tol=1e-8)
 
@@ -239,20 +247,23 @@ def test_solve_disc_planted_recovery(rng):
 def test_joint_loss_reference_point(rng):
     X = rng.uniform(0.2, 0.8, size=(6, 3))
     fam = family("bernoulli")
-    val, gu, gT = joint_loss(np.zeros(6), fam.transfer(X), X, fam)
+    FX = fam.transfer(X)
+    val, gu, gT, _, _ = _joint_terms(fam, np.zeros(6), FX, X, FX)
     assert val == pytest.approx(np.log(6.0), rel=1e-12)
     assert np.max(np.abs(gT)) <= 1e-12
 
 
 def test_joint_loss_gradients_match_finite_differences(rng):
+    # the stacked W = [rb u, ra T] that GCG descends
     X = rng.normal(size=(5, 2))
     u = rng.normal(size=5)
     T = rng.normal(size=(5, 2))
-    _, gu, gT = joint_loss(u, T, X, "euclidean")
-    fdu = finite_difference_gradient(lambda v: joint_loss(v, T, X, "euclidean")[0], u)
-    fdT = finite_difference_gradient(lambda W: joint_loss(u, W, X, "euclidean")[0], T)
-    assert np.max(np.abs(gu - fdu)) <= 1e-5 * (1.0 + np.max(np.abs(gu)))
-    assert np.max(np.abs(gT - fdT)) <= 1e-5 * (1.0 + np.max(np.abs(gT)))
+    ra, rb = np.sqrt(0.5), np.sqrt(0.2)
+    loss = _joint_problem(X, family("euclidean"), ra, rb)
+    W = np.column_stack([rb * u, ra * T])
+    _, G = loss.value_and_grad(W)
+    fd = finite_difference_gradient(lambda V: loss.value_and_grad(V)[0], W)
+    assert np.max(np.abs(G - fd)) <= 1e-5 * (1.0 + np.max(np.abs(G)))
 
 
 def test_joint_loss_constant_shift_profile(rng):
@@ -268,7 +279,7 @@ def test_joint_loss_constant_shift_profile(rng):
     penalized = []
     for c in cs:
         u = np.full(t, c)
-        val = joint_loss(u, T, X, "euclidean")[0]
+        val = _joint_terms(family("euclidean"), u, T, X, X)[0]
         W = np.column_stack([np.sqrt(beta) * u, np.sqrt(alpha) * T])
         bare.append(val)
         penalized.append(val + 0.5 * cluster_norm(W, 2) ** 2)
@@ -295,7 +306,8 @@ def test_solve_joint_planted_recovery(rng):
     assert matched_accuracy(labels, truth)[0] == 1.0
     u, W = sol.auxiliaries["u"], sol.auxiliaries["W"]
     T = sol.auxiliaries["T"]
-    recomputed = joint_loss(u, T, X, "euclidean")[0] + 0.5 * cluster_norm(W, 2) ** 2
+    fam = family("euclidean")
+    recomputed = _joint_terms(fam, u, T, X, fam.transfer(X))[0] + 0.5 * cluster_norm(W, 2) ** 2
     assert sol.objective == pytest.approx(recomputed, abs=1e-8)
     assert check_membership(sol.M, 2, "centered", tol=1e-8)
 
@@ -303,12 +315,12 @@ def test_solve_joint_planted_recovery(rng):
 # ------------------------------------------------------ line-search segments
 
 
-def _central_segment(evaluate, T, S, a, b, h):
-    """Value, gradient and Hessian in (a, b) of evaluate(a T + b S) by
+def _central_segment(value_and_grad, T, S, a, b, h):
+    """Value, gradient and Hessian in (a, b) of the value at a T + b S by
     central differences."""
 
     def f(x, y):
-        return evaluate(x * T + y * S)
+        return value_and_grad(x * T + y * S)[0]
 
     f0 = f(a, b)
     grad = np.array([f(a + h, b) - f(a - h, b), f(a, b + h) - f(a, b - h)]) / (2 * h)
@@ -333,7 +345,7 @@ def test_segment_matches_central_differences(rng, model, fam):
     S = rng.normal(scale=2.0, size=loss.shape)
     a, b = 0.7, 0.4
     val, grad, hess = loss.segment(T, S)(a, b)
-    want_val, want_grad, want_hess = _central_segment(loss.evaluate, T, S, a, b, 1e-4)
+    want_val, want_grad, want_hess = _central_segment(loss.value_and_grad, T, S, a, b, 1e-4)
     assert val == pytest.approx(want_val, rel=1e-12)
     assert np.allclose(grad, want_grad, rtol=1e-6, atol=1e-7)
     assert np.allclose(hess, hess.T)
@@ -359,12 +371,11 @@ def test_bernoulli_segment_saturated_entry_has_zero_curvature():
 def test_disc_segment_curvature_bounds_envelope(rng):
     X, _ = planted_bernoulli(8, 2, rng)
     disc = DiscriminativeLoss(X)
-    loss = SmoothProblem(shape=disc.shape, value_and_grad=disc.value_and_grad)
     V = rng.normal(scale=20.0, size=X.shape)
     S = rng.normal(scale=20.0, size=X.shape)
     a, b = 0.7, 0.4
     val, grad, hess = disc.segment(V, S)(a, b)
-    want_val, want_grad, envelope = _central_segment(loss.evaluate, V, S, a, b, 1e-3)
+    want_val, want_grad, envelope = _central_segment(disc.value_and_grad, V, S, a, b, 1e-3)
     assert val == pytest.approx(want_val, rel=1e-10)
     assert np.allclose(grad, want_grad, rtol=1e-5, atol=1e-7)
     # minimizing the bias out can only remove curvature: fixed-tau bounds it

@@ -12,7 +12,6 @@ import pytest
 
 from bregrelax import (
     cond_objective,
-    equivalence_from_assignment,
     family,
     hard_reopt,
     joint_hard_reopt,
@@ -24,7 +23,7 @@ from bregrelax import (
 )
 from bregrelax.rounding import cluster_means
 
-from conftest import exhaustive_hard_optimum, planted_euclidean
+from conftest import equivalence_from_assignment, exhaustive_hard_optimum, planted_euclidean
 
 
 def equivalence_of(labels, d):

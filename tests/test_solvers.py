@@ -24,6 +24,7 @@ from conftest import (
     cvxpy_norm_regularized,
     exhaustive_hard_optimum,
     planted_euclidean,
+    quadratic_loss,
     simplex_project,
 )
 
@@ -90,18 +91,10 @@ def test_smooth_minimize_reports_exhaustion():
     assert not res.converged
 
 
-def _segment_quadratic(C, alpha_unused=None):
-    def value_and_grad(T):
-        diff = T - C
-        return 0.5 * float(np.sum(diff * diff)), diff
-
-    return SmoothProblem(shape=C.shape, value_and_grad=value_and_grad)
-
-
 def _phi(loss, T, S, s, alpha):
     def f(a, b):
         scale = a * s + b
-        return loss.evaluate(a * T + b * S) + 0.5 * alpha * scale * scale
+        return loss.value_and_grad(a * T + b * S)[0] + 0.5 * alpha * scale * scale
 
     return f
 
@@ -114,7 +107,7 @@ def test_line_search_matches_quadratic_system(rng):
     S = rng.normal(size=(4, 3))
     C = 0.7 * T + 0.9 * S
     s, alpha = 1.3, 0.05
-    loss = _segment_quadratic(C)
+    loss = quadratic_loss(C)
     a, b = gcg_line_search(loss, T, S, s, alpha)
     H = np.array(
         [
@@ -138,7 +131,7 @@ def test_line_search_clips_at_zero(rng):
     S[1, 1] = 1.0
     C = -2.0 * T + 3.0 * S  # pulls a negative, b positive
     alpha = 0.1
-    loss = _segment_quadratic(C)
+    loss = quadratic_loss(C)
     a, b = gcg_line_search(loss, T, S, 0.0, alpha)
     assert a == pytest.approx(0.0, abs=1e-9)
     assert b == pytest.approx(3.0 / (1.0 + alpha), abs=1e-8)
@@ -149,7 +142,7 @@ def test_line_search_zero_direction(rng):
     T = 0.5 * C
     S = np.zeros_like(T)
     s, alpha = 1.0, 0.2
-    loss = _segment_quadratic(C)
+    loss = quadratic_loss(C)
     a, b = gcg_line_search(loss, T, S, s, alpha)
     want_a = np.sum(T * C) / (np.sum(T * T) + alpha * s * s)
     assert b == pytest.approx(0.0, abs=1e-9)
@@ -163,29 +156,10 @@ def test_line_search_never_worse_than_endpoints(rng):
         S = rng.normal(size=(3, 3))
         s = float(rng.uniform(0.0, 2.0))
         alpha = float(rng.uniform(0.01, 1.0))
-        loss = _segment_quadratic(C)
+        loss = quadratic_loss(C)
         a, b = gcg_line_search(loss, T, S, s, alpha)
         phi = _phi(loss, T, S, s, alpha)
         assert phi(a, b) <= min(phi(1.0, 0.0), phi(0.0, 1.0)) + 1e-10
-
-
-def _counted_quadratic(C):
-    """0.5 ||W - C||^2 with an exact segment that records each call."""
-    calls = []
-
-    def segment(T, S):
-        H = np.array([[np.sum(T * T), np.sum(T * S)], [np.sum(T * S), np.sum(S * S)]])
-
-        def phi(a, b):
-            calls.append((a, b))
-            R = a * T + b * S - C
-            return 0.5 * float(np.sum(R * R)), np.array([np.sum(R * T), np.sum(R * S)]), H
-
-        return phi
-
-    problem = _segment_quadratic(C)
-    problem.segment = segment
-    return problem, calls
 
 
 def _assert_quadrant_kkt(grad, point, tol):
@@ -204,17 +178,14 @@ def test_line_search_quadratic_segment_kkt_in_four_evals(rng):
         C, T, S = (rng.normal(size=(4, 3)) for _ in range(3))
         s = float(rng.uniform(0.0, 2.0))
         alpha = float(rng.uniform(0.01, 1.0))
-        loss, calls = _counted_quadratic(C)
-        a, b = gcg_line_search(loss, T, S, s, alpha)
+        calls = []
+        a, b = gcg_line_search(quadratic_loss(C, calls), T, S, s, alpha)
         assert len(calls) <= 4
         R = a * T + b * S - C
         scale = a * s + b
         grad = (np.sum(R * T) + alpha * s * scale, np.sum(R * S) + alpha * scale)
         _assert_quadrant_kkt(grad, (a, b), 1e-9 * (1.0 + np.sum(C * C)))
         kinds.add((a > 0.0, b > 0.0))
-        # the forward-difference curvature of the default segment finds it too
-        a2, b2 = gcg_line_search(_segment_quadratic(C), T, S, s, alpha)
-        assert (a2, b2) == pytest.approx((a, b), abs=1e-8)
     assert (True, True) in kinds and len(kinds) > 1  # interior and boundary cases
 
 
@@ -244,7 +215,7 @@ def test_gcg_low_rank_closed_form(rng):
     v = rng.normal(size=(1, 4))
     C = u @ v
     alpha = 1e-2
-    res = gcg_minimize(_segment_quadratic(C), alpha, d=3, tol=1e-12, max_iter=500)
+    res = gcg_minimize(quadratic_loss(C), alpha, d=3, tol=1e-12, max_iter=500)
     want_T = C / (1.0 + alpha)
     want_obj = 0.5 * alpha * np.sum(C * C) / (1.0 + alpha)
     assert res.objective == pytest.approx(want_obj, abs=1e-4)
@@ -253,7 +224,7 @@ def test_gcg_low_rank_closed_form(rng):
 
 def test_gcg_zero_start_is_fixed_point():
     C = np.zeros((4, 3))
-    res = gcg_minimize(_segment_quadratic(C), 0.5, d=3)
+    res = gcg_minimize(quadratic_loss(C), 0.5, d=3)
     assert res.iterations == 1
     assert res.converged
     assert not np.any(res.T)
@@ -263,13 +234,13 @@ def test_gcg_matches_convex_reference(rng):
     X = rng.normal(size=(6, 3))
     alpha = 0.3
     ref_val, _ = cvxpy_norm_regularized(X, alpha, 3)
-    res = gcg_minimize(_segment_quadratic(X), alpha, d=3, tol=1e-10, max_iter=2000)
+    res = gcg_minimize(quadratic_loss(X), alpha, d=3, tol=1e-10, max_iter=2000)
     assert res.objective == pytest.approx(ref_val, abs=1e-4)
 
 
 def test_gcg_trace_monotone_and_tracker_majorizes(rng):
     X = rng.normal(size=(7, 4))
-    res = gcg_minimize(_segment_quadratic(X), 0.2, d=3, tol=1e-10, max_iter=300)
+    res = gcg_minimize(quadratic_loss(X), 0.2, d=3, tol=1e-10, max_iter=300)
     objs = [row["objective"] for row in res.trace]
     assert all(objs[i + 1] <= objs[i] + 1e-10 for i in range(len(objs) - 1))
     assert res.norm_tracker >= res.norm - 1e-6
@@ -281,7 +252,7 @@ def test_gcg_sublinear_rate(rng):
     X = rng.normal(size=(6, 3))
     alpha = 0.25
     ref_val, _ = cvxpy_norm_regularized(X, alpha, 3)
-    res = gcg_minimize(_segment_quadratic(X), alpha, d=3, tol=0.0, max_iter=200)
+    res = gcg_minimize(quadratic_loss(X), alpha, d=3, tol=0.0, max_iter=200)
     errs = [max(row["objective"] - ref_val, 0.0) for row in res.trace[1:]]
     scaled = [k * e for k, e in enumerate(errs, start=1)]
     assert max(scaled) <= 10.0 * max(1.0, ref_val)
@@ -294,9 +265,18 @@ def test_gcg_raises_on_nonfinite():
             return np.nan, np.full_like(T, np.nan)
         return 1.0, np.ones_like(T)
 
-    problem = SmoothProblem(shape=(3, 2), value_and_grad=value_and_grad)
+    def segment(T, S):
+        return lambda a, b: (value_and_grad(a * T + b * S)[0], np.zeros(2), np.zeros((2, 2)))
+
+    problem = SmoothProblem(shape=(3, 2), value_and_grad=value_and_grad, segment=segment)
     with pytest.raises(SolverDivergence):
         gcg_minimize(problem, 0.5, d=2, max_iter=10)
+
+
+def test_gcg_requires_a_segment():
+    problem = SmoothProblem(shape=(3, 2), value_and_grad=lambda T: (0.0, np.zeros_like(T)))
+    with pytest.raises(ValueError, match="segment"):
+        gcg_minimize(problem, 0.5, d=2)
 
 
 def row_steps(fam, X, anchors, mu, lip=None, tol=1e-12):
