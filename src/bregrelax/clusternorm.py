@@ -110,11 +110,11 @@ def recover_equivalence(T, d):
 
     The left singular vectors of T carry the water-filled eigenvalues, so
     tr(T' M^+ T) equals the squared cluster norm and Im(T) lies within
-    Im(M).
+    Im(M).  Every such M is optimal for T = 0; the zero matrix is returned.
     """
     T = np.asarray(T, dtype=float)
     if not np.any(T):
-        raise ValueError("cannot recover an equivalence matrix from T = 0")
+        return np.zeros((T.shape[0], T.shape[0]))
     U, s, _ = np.linalg.svd(T, full_matrices=False)
     sigma = spectrum_waterfill(s, d).sigma[: s.size]
     return (U * sigma) @ U.T

@@ -95,10 +95,7 @@ def capped_box_simplex_project(sigma, budget):
     points = points[points > 0.0]
     points = np.concatenate([[0.0], points])
 
-    def g(lam):
-        return np.clip(sigma - lam, 0.0, 1.0).sum()
-
-    values = np.array([g(p) for p in points])
+    values = np.clip(sigma - points[:, None], 0.0, 1.0).sum(axis=1)
     # First breakpoint where the sum has dropped to or below the budget; the
     # crossing lies in the segment ending there (g(0) > budget is known).
     k = int(np.argmax(values <= budget))

@@ -3,7 +3,9 @@
 Four relaxations share a common recipe: minimize a smooth conjugate-space
 loss plus a squared cluster-norm penalty (or, for ``cond-jc``, the primal
 divergence directly over the relaxation set), then recover a relaxed
-equivalence matrix for rounding.
+equivalence matrix for rounding.  For the three GCG models a loss builder
+(``_cond_problem``, ``_disc_problem``, ``_joint_problem``) returns a
+SmoothProblem and ``_gcg_solution`` solves it and packages the result.
 
 * ``cond-jc``  -- jointly convex conditional model, solved by ADMM.
 * ``cond``     -- conditional model in conjugate coordinates, solved by
@@ -121,12 +123,6 @@ def solve_cond_jc(X, config):
     )
 
 
-def _recover(T, d):
-    if np.any(T):
-        return recover_equivalence(T, d)
-    return np.zeros((T.shape[0], T.shape[0]))
-
-
 def _curvature(fam, Y):
     """d f_inv / dz at z = f(Y), i.e. 1 / f'(Y): the Hessian of F* there.
 
@@ -173,6 +169,24 @@ def _cond_problem(X, fam):
     return SmoothProblem(shape=X.shape, value_and_grad=value_and_grad, segment=segment)
 
 
+def _gcg_solution(model, loss, weight, config, blocks):
+    """Minimize ``loss`` plus (weight/2) * cluster norm^2 by GCG and package it.
+
+    ``blocks(T)`` names the parts of the final iterate that go into
+    ``auxiliaries``, ahead of its cluster norm and the final gap.
+    """
+    res = gcg_minimize(loss, weight, config.d, tol=config.tol, max_iter=config.max_iter)
+    return RelaxationSolution(
+        model=model,
+        M=recover_equivalence(res.T, config.d),
+        objective=res.objective,
+        converged=res.converged,
+        iterations=res.iterations,
+        trace=res.trace,
+        auxiliaries={**blocks(res.T), "norm": res.norm, "gap": res.gap},
+    )
+
+
 def solve_cond(X, config):
     """Conditional relaxation in conjugate coordinates, solved by GCG.
 
@@ -181,16 +195,7 @@ def solve_cond(X, config):
     """
     fam = family(config.family)
     loss = _cond_problem(fam.check_domain(X), fam)
-    res = gcg_minimize(loss, config.alpha, config.d, tol=config.tol, max_iter=config.max_iter)
-    return RelaxationSolution(
-        model="cond",
-        M=_recover(res.T, config.d),
-        objective=res.objective,
-        converged=res.converged,
-        iterations=res.iterations,
-        trace=res.trace,
-        auxiliaries={"T": res.T, "norm": res.norm, "gap": res.gap},
-    )
+    return _gcg_solution("cond", loss, config.alpha, config, lambda T: {"T": T})
 
 
 def _disc_terms(Z0, tau):
@@ -206,45 +211,40 @@ def _disc_terms(Z0, tau):
     return (lse.sum() - np.trace(Z0) - tau.sum()) / Z0.shape[0], P
 
 
-class DiscriminativeLoss:
-    """Self-classification loss with the bias vector minimized out.
+def _disc_problem(X):
+    """The self-classification loss of ``disc``, bias minimized out.
 
     For a classifier matrix V (one linear scorer per point) the score
     matrix is Z = X V' / t + 1 tau'; the loss is the mean of
     [logsumexp(Z_i) - Z_ii].  Evaluation minimizes over tau with a warm
     started smooth solve to gradient norm ``BIAS_TOL`` (at most
     ``BIAS_MAX_ITER`` iterations), so gradients in V are envelope
-    gradients.
+    gradients.  Returns the SmoothProblem and the bias array ``tau``,
+    which each ``value_and_grad`` call overwrites with its solved bias
+    (the warm start of the next solve).
     """
+    t = X.shape[0]
+    tau = np.zeros(t)
 
-    def __init__(self, X):
-        self.X = np.asarray(X, dtype=float)
-        self.t = self.X.shape[0]
-        self.shape = self.X.shape
-        self.tau = np.zeros(self.t)
+    def solve_tau(Z0, tau0):
+        def vg(s):
+            value, P = _disc_terms(Z0, s)
+            return value, (P.sum(axis=0) - 1.0) / t
 
-    def _solve_tau(self, Z0, tau0):
-        def vg(tau):
-            value, P = _disc_terms(Z0, tau)
-            return value, (P.sum(axis=0) - 1.0) / self.t
-
-        prob = SmoothProblem(shape=(self.t,), value_and_grad=vg, x0=tau0)
+        prob = SmoothProblem(shape=(t,), value_and_grad=vg, x0=tau0)
         res = smooth_minimize(prob, tol=BIAS_TOL, max_iter=BIAS_MAX_ITER)
         if not res.converged:
-            raise SolverDivergence(
-                f"bias solve stalled at gradient norm {res.grad_norm:.3e}"
-            )
+            raise SolverDivergence(f"bias solve stalled at gradient norm {res.grad_norm:.3e}")
         return res
 
-    def value_and_grad(self, V):
-        Z0 = self.X @ V.T / self.t
-        res = self._solve_tau(Z0, self.tau)
-        self.tau = res.x
-        _, P = _disc_terms(Z0, self.tau)
-        grad_V = (P - np.eye(self.t)).T @ self.X / self.t**2
-        return res.objective, grad_V
+    def value_and_grad(V):
+        Z0 = X @ V.T / t
+        res = solve_tau(Z0, tau)
+        tau[:] = res.x
+        _, P = _disc_terms(Z0, tau)
+        return res.objective, (P - np.eye(t)).T @ X / t**2
 
-    def segment(self, V, S):
+    def segment(V, S):
         """Envelope value and gradient along a*V + b*S; fixed-bias curvature.
 
         The score matrix moves along A = X V' / t and B = X S' / t.  The
@@ -254,23 +254,24 @@ class DiscriminativeLoss:
         lower curvature, so this is an upper bound on the envelope's and
         the Newton steps stay conservative.
         """
-        t = self.t
-        A = self.X @ V.T / t
-        B = self.X @ S.T / t
-        state = {"tau": self.tau.copy()}
+        A = X @ V.T / t
+        B = X @ S.T / t
+        warm = tau.copy()
         Ac = A - A.mean(axis=0)
         Bc = B - B.mean(axis=0)
 
         def phi(a, b):
             Z0 = a * A + b * B
-            res = self._solve_tau(Z0, state["tau"])
-            state["tau"] = res.x
-            _, P = _disc_terms(Z0, res.x)
+            res = solve_tau(Z0, warm)
+            warm[:] = res.x
+            _, P = _disc_terms(Z0, warm)
             g, H = _segment_derivatives((P - np.eye(t)) / t, P / t, Ac, Bc)
             m = np.stack([np.sum(P * Ac, axis=1), np.sum(P * Bc, axis=1)])
             return res.objective, g, H - m @ m.T / t
 
         return phi
+
+    return SmoothProblem(shape=X.shape, value_and_grad=value_and_grad, segment=segment), tau
 
 
 def solve_disc(X, config):
@@ -281,21 +282,9 @@ def solve_disc(X, config):
     solves run to gradient norm ``BIAS_TOL`` (within ``BIAS_MAX_ITER``
     iterations) whatever ``config.tol`` is.
     """
-    X = np.asarray(X, dtype=float)
-    disc = DiscriminativeLoss(X)
-    loss = SmoothProblem(
-        shape=disc.shape, value_and_grad=disc.value_and_grad, segment=disc.segment
-    )
-    res = gcg_minimize(loss, config.gamma, config.d, tol=config.tol, max_iter=config.max_iter)
-    return RelaxationSolution(
-        model="disc",
-        M=_recover(res.T, config.d),
-        objective=res.objective,
-        converged=res.converged,
-        iterations=res.iterations,
-        trace=res.trace,
-        auxiliaries={"V": res.T, "tau": disc.tau.copy(), "norm": res.norm, "gap": res.gap},
-    )
+    loss, tau = _disc_problem(np.asarray(X, dtype=float))
+    return _gcg_solution("disc", loss, config.gamma, config,
+                         lambda V: {"V": V, "tau": tau.copy()})
 
 
 def _joint_terms(fam, u, T, X, FX):
@@ -357,18 +346,8 @@ def solve_joint(X, config):
     ra = np.sqrt(config.alpha)
     rb = np.sqrt(config.beta)
     loss = _joint_problem(fam.check_domain(X), fam, ra, rb)
-    res = gcg_minimize(loss, 1.0, config.d, tol=config.tol, max_iter=config.max_iter)
-    W = res.T
-    u, T = W[:, 0] / rb, W[:, 1:] / ra
-    return RelaxationSolution(
-        model="joint",
-        M=_recover(W, config.d),
-        objective=res.objective,
-        converged=res.converged,
-        iterations=res.iterations,
-        trace=res.trace,
-        auxiliaries={"u": u, "T": T, "W": W, "norm": res.norm, "gap": res.gap},
-    )
+    return _gcg_solution("joint", loss, 1.0, config,
+                         lambda W: {"u": W[:, 0] / rb, "T": W[:, 1:] / ra, "W": W})
 
 
 def solve_relaxation(model, X, config):

@@ -301,17 +301,17 @@ def rowwise_objective(fam, X, M):
     return float(max(np.sum(vals), 0.0))
 
 
-def _admm_rows_pg(fam, X, M, anchors, mu, tol, max_iter, lip=None, eta=None):
+def _admm_rows_pg(fam, X, M, anchors, mu, tol, max_iter, lip, eta):
     """All ADMM row subproblems at once.
 
     Row i minimizes D_F(X_i, m X) + ||m - anchors_i||^2 / (2 mu) over the
     simplex.  Accelerated projected gradient with per-row gradient-based
-    restarts; steps are fixed at 1 / (lip + 1/mu) when a curvature bound is
-    supplied, otherwise backtracked per row.  Backtracking only shrinks
-    ``eta`` within a call (so the momentum scheme keeps a stationary step);
-    the array is updated in place to warm-start the next call.  Stops once
-    the Frobenius norm of the step-scaled prox-gradient mapping falls below
-    ``tol``.
+    restarts; steps are fixed at 1 / (lip + 1/mu) when a curvature bound
+    ``lip`` is given, otherwise (``lip`` None) backtracked per row from the
+    per-row steps ``eta``.  Backtracking only shrinks ``eta`` within a call
+    (so the momentum scheme keeps a stationary step); the array is updated
+    in place to warm-start the next call.  Stops once the Frobenius norm of
+    the step-scaled prox-gradient mapping falls below ``tol``.
     """
     clip = fam.name == "bernoulli"
 
@@ -326,11 +326,9 @@ def _admm_rows_pg(fam, X, M, anchors, mu, tol, max_iter, lip=None, eta=None):
         prox = 0.5 * np.sum((B - anchors[rows]) ** 2, axis=1) / mu
         return loss + prox
 
-    def row_grads(B, rows):
+    def row_grads(B):
         Y = predict(B)
-        return ((Y - X[rows]) * fam.transfer_derivative(Y)) @ X.T + (
-            B - anchors[rows]
-        ) / mu
+        return ((Y - X) * fam.transfer_derivative(Y)) @ X.T + (B - anchors) / mu
 
     t = M.shape[0]
     M = simplex_project_rows(M)
@@ -342,17 +340,14 @@ def _admm_rows_pg(fam, X, M, anchors, mu, tol, max_iter, lip=None, eta=None):
     fixed = lip is not None
     if fixed:
         eta = np.full(t, 1.0 / (lip + 1.0 / mu))
-    elif eta is None:
-        eta = np.full(t, min(1.0, mu))
     # extrapolated point Y keeps the unit row sums but may dip below zero;
     # predict() clips, so the smooth model stays defined there
     Y = M.copy()
     theta = np.ones(t)
     for _ in range(max_iter):
-        grads = row_grads(Y, every)
+        grads = row_grads(Y)
         if fixed:
             M_new = simplex_project_rows(Y - eta[:, None] * grads)
-            moved = np.linalg.norm(M_new - Y, axis=1) / eta
         else:
             base = row_values(Y, every)
             M_new = np.empty_like(M)
@@ -372,7 +367,7 @@ def _admm_rows_pg(fam, X, M, anchors, mu, tol, max_iter, lip=None, eta=None):
                 M_new[p[accept]] = trial[accept]
                 pending[p[accept]] = False
                 eta[p[~accept]] *= 0.5
-            moved = np.linalg.norm(M_new - Y, axis=1) / eta
+        moved = np.linalg.norm(M_new - Y, axis=1) / eta
         restart = np.sum((Y - M_new) * (M_new - M), axis=1) > 0.0
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next

@@ -38,7 +38,7 @@ from bregrelax import (
     spectral_round,
     stratified_subsample,
 )
-from bregrelax.models import DiscriminativeLoss, _cond_problem, _disc_terms, _joint_problem
+from bregrelax.models import _cond_problem, _disc_problem, _disc_terms, _joint_problem
 
 from conftest import (
     cvxpy_norm_regularized,
@@ -216,7 +216,7 @@ def test_criterion_04_gradient_suite():
     X = rng.uniform(0.15, 0.85, size=(5, 3))
     V = 0.4 * rng.normal(size=(5, 3))
     tau = 0.3 * rng.normal(size=5)  # one bias per point
-    check(DiscriminativeLoss(X).value_and_grad, V)  # bias minimized out
+    check(_disc_problem(X)[0].value_and_grad, V)  # bias minimized out
     Z0 = X @ V.T / len(X)
 
     def bias_value_and_grad(s):

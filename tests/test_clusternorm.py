@@ -168,6 +168,6 @@ def test_recover_equivalence_rank_bound(rng):
     assert np.sum(eigs) <= 2.0 + 1e-8
 
 
-def test_recover_equivalence_rejects_zero():
-    with pytest.raises(ValueError):
-        recover_equivalence(np.zeros((4, 2)), 3)
+def test_recover_equivalence_zero_is_zero_matrix():
+    M = recover_equivalence(np.zeros((4, 2)), 3)
+    assert M.shape == (4, 4) and not np.any(M)

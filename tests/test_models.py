@@ -26,8 +26,8 @@ from bregrelax import (
     spectral_round,
 )
 from bregrelax.models import (
-    DiscriminativeLoss,
     _cond_problem,
+    _disc_problem,
     _disc_terms,
     _joint_problem,
     _joint_terms,
@@ -70,6 +70,19 @@ def test_solve_relaxation_rejects_unknown_model(rng):
     X = rng.normal(size=(4, 2))
     with pytest.raises(ValueError, match="unknown relaxation model"):
         solve_relaxation("kmeans", X, small_config())
+
+
+@pytest.mark.parametrize("model, blocks", [
+    ("cond", ["T"]),
+    ("disc", ["V", "tau"]),
+    ("joint", ["u", "T", "W"]),
+])
+def test_gcg_models_capped_at_zero_iterations_return_zero_M(rng, model, blocks):
+    # T stays 0 when no GCG step runs; M is then the zero matrix, not an error
+    sol = solve_relaxation(model, rng.normal(size=(6, 3)), small_config(max_iter=0))
+    assert np.array_equal(sol.M, np.zeros((6, 6)))
+    assert not sol.converged and sol.iterations == 0
+    assert list(sol.auxiliaries) == blocks + ["norm", "gap"]
 
 
 def test_derived_rng_is_keyed():
@@ -186,10 +199,10 @@ def test_disc_loss_zero_scores():
     value, P = _disc_terms(np.zeros((4, 4)), np.zeros(4))
     assert value == pytest.approx(np.log(4.0), rel=1e-12)
     assert np.allclose(P, 0.25)
-    disc = DiscriminativeLoss(np.zeros((4, 3)))
+    disc, tau = _disc_problem(np.zeros((4, 3)))
     val, gV = disc.value_and_grad(np.zeros((4, 3)))
     assert val == pytest.approx(np.log(4.0), rel=1e-12)
-    assert gV.shape == (4, 3) and disc.tau.shape == (4,)
+    assert gV.shape == (4, 3) and tau.shape == (4,)
 
 
 def test_disc_loss_gradients_match_finite_differences(rng):
@@ -198,7 +211,7 @@ def test_disc_loss_gradients_match_finite_differences(rng):
     X = rng.normal(size=(5, 3))
     V = rng.normal(size=(5, 3))
     tau = rng.normal(size=5)
-    disc = DiscriminativeLoss(X)
+    disc, _ = _disc_problem(X)
     _, gV = disc.value_and_grad(V)
     fdV = finite_difference_gradient(lambda W: disc.value_and_grad(W)[0], V)
     Z0 = X @ V.T / len(X)
@@ -370,7 +383,7 @@ def test_bernoulli_segment_saturated_entry_has_zero_curvature():
 
 def test_disc_segment_curvature_bounds_envelope(rng):
     X, _ = planted_bernoulli(8, 2, rng)
-    disc = DiscriminativeLoss(X)
+    disc, _ = _disc_problem(X)
     V = rng.normal(scale=20.0, size=X.shape)
     S = rng.normal(scale=20.0, size=X.shape)
     a, b = 0.7, 0.4

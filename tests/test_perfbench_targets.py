@@ -1,8 +1,10 @@
-"""The bregrelax names that perfbench/tracing.py patches still exist.
+"""The bregrelax names and result fields that perfbench reads still exist.
 
 The benchmark's tracer replaces module globals by name and reads the
-callables of every SmoothProblem, so renaming or deleting one of them
-breaks only the (multi-minute) benchmark run.  This checks them here.
+callables of every SmoothProblem, and its workloads read the solution
+fields (``trace``, ``auxiliaries``, ``M``) of every relaxation, so renaming
+or deleting one of them breaks only the (multi-minute) benchmark run.
+This checks them here.
 """
 
 import importlib
@@ -12,19 +14,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bregrelax import models
+from bregrelax import bench, models
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture
-def tracing(monkeypatch):
+def perfbench_module(monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     try:
-        yield importlib.import_module("tracing")
+        yield importlib.import_module(name)
     finally:
-        for name in ("tracing", "workloads"):
-            sys.modules.pop(name, None)
+        for module in ("tracing", "workloads"):
+            sys.modules.pop(module, None)
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    yield from perfbench_module(monkeypatch, "tracing")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    yield from perfbench_module(monkeypatch, "workloads")
 
 
 def test_every_traced_global_exists(tracing):
@@ -38,3 +49,20 @@ def test_smooth_problem_has_the_traced_callables():
     problem = models.SmoothProblem(shape=(2,), value_and_grad=lambda x: (0.0, np.zeros(2)))
     for name in ("value", "value_and_grad", "segment"):
         assert hasattr(problem, name), name
+
+
+@pytest.mark.parametrize("model", models.RELAXATION_MODELS)
+def test_workload_checks_pass_on_a_solved_cell(workloads, model):
+    # disc runs on sigmoid-squashed data, as the gcg-mixed workload runs it
+    ds = workloads.planted(workloads.stream_rng(0, 0, 0), 12, 4)
+    X = bench.preprocess(ds, "sigmoid" if model == "disc" else "linear").X
+    config = models.ModelConfig(d=3, max_iter=20)
+    solution = models.solve_relaxation(model, X, config)
+    solved = workloads.Solved(solution, X, config)
+    outcome = workloads.CellOutcome(model, model, "ok")
+    workloads.certify(outcome, solved)
+    assert np.isfinite(outcome.cert) and outcome.tol > 0
+    assert outcome.stop in ("certified", "max_iter", "stall")
+    checks = workloads.relaxation_checks(model, solved, workloads.m_digest(solution.M))
+    assert checks
+    assert not [check for check in checks if not check[1]]
