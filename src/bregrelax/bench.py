@@ -332,26 +332,33 @@ def prepare(spec):
     return ds, config
 
 
+def _summary(**samples):
+    """ResultRecord's ``<name>_mean`` and ``<name>_std`` of each sample (None if empty)."""
+    return {f"{name}_{stat}": float(reduce(values)) if values else None
+            for name, values in samples.items()
+            for stat, reduce in (("mean", np.mean), ("std", np.std))}
+
+
 def run_experiment(spec):
     """Execute one benchmark cell and aggregate its repeats.
 
     Relaxation models: solve, then round `restarts` times with
     derived seeds, re-optimize each rounding with the model's hard
     alternation, and score.  Baselines aggregate across their own restarts
-    directly.  Objectives reported are the hard clustering objective of
-    the final labels, so every number is recomputable from the persisted
-    assignments.
+    directly.  Every labeling is scored after the model branches as
+    ``score_assignments`` scores it, so ``score`` reproduces each statistic
+    from the persisted assignments exactly, except that ``alt-hard``
+    reports Lloyd's own objective, equal to ``cond_objective`` up to rounding.
     """
     ds, config = prepare(spec)
     fam = family(config.family)
     d = config.d
     X, truth = ds.X, ds.labels
     start = time.perf_counter()
-    assignments = []
-    objs, accs, softs = [], [], []
+    objs = None
+    softs = []
     m_sha = ""
     trace = []
-    iterations = 0
 
     if spec.model in RELAXATION_MODELS:
         solution = solve_relaxation(spec.model, X, config)
@@ -361,6 +368,7 @@ def run_experiment(spec):
             np.ascontiguousarray(solution.M, dtype=float).tobytes()
         ).hexdigest()
         embedding = spectral_embedding(solution.M, d)
+        assignments = []
         for r in range(spec.restarts):
             rounded = spectral_round(
                 solution.M, d, restarts=1, rng=derived_rng(spec.seed, 2, r),
@@ -372,41 +380,25 @@ def run_experiment(spec):
             else:
                 polished = hard_reopt(X, rounded.labels, fam, d=d)
             assignments.append(polished.labels)
-            objs.append(cond_objective(X, polished.labels, fam))
-            accs.append(matched_accuracy(polished.labels, truth)[0])
     elif spec.model == "alt-hard":
-        for res in alternating_restarts(X, config):
-            assignments.append(res.labels)
-            objs.append(res.objective)
-            accs.append(matched_accuracy(res.labels, truth)[0])
-            iterations = max(iterations, res.iterations)
+        runs = alternating_restarts(X, config)
+        assignments = [res.labels for res in runs]
+        objs = [res.objective for res in runs]
+        iterations = max(res.iterations for res in runs)
     else:  # soft-em
-        for res in soft_em_restarts(X, config):
-            labels = res.posteriors.argmax(axis=1)
-            assignments.append(labels)
-            objs.append(cond_objective(X, labels, fam))
-            accs.append(matched_accuracy(labels, truth)[0])
-            softs.append(soft_accuracy(res.posteriors, truth)[0])
-            iterations = max(iterations, res.iterations)
+        runs = soft_em_restarts(X, config)
+        assignments = [res.posteriors.argmax(axis=1) for res in runs]
+        softs = [soft_accuracy(res.posteriors, truth)[0] for res in runs]
+        iterations = max(res.iterations for res in runs)
 
+    if objs is None:
+        objs = [cond_objective(X, labels, fam) for labels in assignments]
+    accs = [matched_accuracy(labels, truth)[0] for labels in assignments]
     seconds = time.perf_counter() - start
     record = ResultRecord(
-        dataset=ds.name,
-        t=ds.t,
-        n=ds.n,
-        model=spec.model,
-        transfer=spec.transfer,
-        clusters=d,
-        alpha=spec.alpha,
-        beta=spec.beta,
-        gamma=spec.gamma,
-        seed=spec.seed,
-        obj_mean=float(np.mean(objs)),
-        obj_std=float(np.std(objs)),
-        acc_mean=float(np.mean(accs)),
-        acc_std=float(np.std(accs)),
-        soft_mean=float(np.mean(softs)) if softs else None,
-        soft_std=float(np.std(softs)) if softs else None,
+        dataset=ds.name, t=ds.t, n=ds.n, model=spec.model, transfer=spec.transfer, clusters=d,
+        alpha=spec.alpha, beta=spec.beta, gamma=spec.gamma, seed=spec.seed,
+        **_summary(obj=objs, acc=accs, soft=softs),
         iterations=iterations,
         seconds=seconds,
         m_sha256=m_sha,
@@ -551,12 +543,8 @@ def score_assignments(data_path, assignment_path, transfer="linear", label_colum
             rows.append(np.array([int(c) for c in cells], dtype=int))
     if not rows:
         raise ValueError(f"{assignment_path}: no assignment rows")
-    objs = [cond_objective(ds.X, row, fam) for row in rows]
-    accs = [matched_accuracy(row, ds.labels)[0] for row in rows]
     return {
         "repeats": len(rows),
-        "obj_mean": float(np.mean(objs)),
-        "obj_std": float(np.std(objs)),
-        "acc_mean": float(np.mean(accs)),
-        "acc_std": float(np.std(accs)),
+        **_summary(obj=[cond_objective(ds.X, row, fam) for row in rows],
+                   acc=[matched_accuracy(row, ds.labels)[0] for row in rows]),
     }

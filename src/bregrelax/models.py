@@ -277,10 +277,11 @@ def _disc_problem(X):
 def solve_disc(X, config):
     """Discriminative relaxation, solved by GCG with the bias solved out.
 
-    The loss is defined for all-real X; pairing with the sigmoid transfer
-    is a benchmark-level convention enforced by ExperimentSpec.  The bias
-    solves run to gradient norm ``BIAS_TOL`` (within ``BIAS_MAX_ITER``
-    iterations) whatever ``config.tol`` is.
+    The bias solves run to gradient norm ``BIAS_TOL`` (within
+    ``BIAS_MAX_ITER`` iterations) whatever ``config.tol`` is, and they need
+    bounded features: on unbounded ones (raw gaussian data, say) a bias
+    solve can stall and raise SolverDivergence.  That is why ExperimentSpec
+    pairs ``disc`` with the sigmoid transfer.
     """
     loss, tau = _disc_problem(np.asarray(X, dtype=float))
     return _gcg_solution("disc", loss, config.gamma, config,

@@ -5,7 +5,8 @@ points with the top eigenvectors and running k-means on the normalized
 rows (``spectral_round``).  Hard clusterings are polished with alternating
 minimization (``hard_reopt``, or ``joint_hard_reopt`` with cluster
 log-priors) and scored against ground truth with a maximum-weight matching
-between clusters and classes.  k-means and both polishers are one Lloyd
+between clusters and classes (``soft_accuracy``; ``matched_accuracy`` is
+soft accuracy on one-hot labels).  k-means and both polishers are one Lloyd
 loop (``lloyd``): Lloyd's alternation is the same algorithm under every
 Bregman divergence (Banerjee et al., JMLR 2005), and k-means is its
 squared-euclidean case.
@@ -233,13 +234,7 @@ def matched_accuracy(pred, truth):
     truth = np.asarray(truth, dtype=int).ravel()
     if pred.shape != truth.shape:
         raise ValueError("prediction and truth must have equal length")
-    k = pred.max() + 1
-    c = truth.max() + 1
-    table = np.zeros((k, c))
-    np.add.at(table, (pred, truth), 1.0)
-    rows, cols = scipy.optimize.linear_sum_assignment(table, maximize=True)
-    matching = {int(r): int(cc) for r, cc in zip(rows, cols)}
-    return float(table[rows, cols].sum() / pred.size), matching
+    return soft_accuracy(np.eye(pred.max() + 1)[pred], truth)
 
 
 def soft_accuracy(posteriors, truth):
@@ -256,10 +251,7 @@ def soft_accuracy(posteriors, truth):
     sums = P.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-8:
         raise ValueError("posterior rows must sum to one")
-    c = truth.max() + 1
-    onehot = np.zeros((truth.size, c))
-    onehot[np.arange(truth.size), truth] = 1.0
-    table = P.T @ onehot
+    table = P.T @ np.eye(truth.max() + 1)[truth]
     rows, cols = scipy.optimize.linear_sum_assignment(table, maximize=True)
     matching = {int(r): int(cc) for r, cc in zip(rows, cols)}
     return float(table[rows, cols].sum() / truth.size), matching

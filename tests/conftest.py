@@ -56,16 +56,13 @@ def grid_norm_squared(s, d, stages=3, points=2000):
     if s.size <= budget:
         return float(np.sum(s**2))
 
-    def occupancy(level):
-        return float(np.sum(np.minimum(1.0, s / level)))
-
     # bracket the level: tiny level -> occupancy = r > budget; at
     # sum(s)/budget every sigma is interior and occupancy <= budget
     lo = 1e-12
     hi = max(float(np.sum(s)) / budget, float(s[0])) + 1.0
     for _ in range(stages):
         grid = np.linspace(lo, hi, points)
-        occ = np.array([occupancy(g) for g in grid])
+        occ = np.minimum(1.0, s / grid[:, None]).sum(axis=1)  # occupancy at each level
         # find the first grid point that dips below the budget
         idx = int(np.searchsorted(-occ, -budget))
         idx = min(max(idx, 1), points - 1)

@@ -238,8 +238,33 @@ def test_run_experiment_relaxation_cell_roundtrip(tmp_path):
     stats = score_assignments(p, out / rec.assignment_file,
                               transfer="linear", label_column="label")
     assert stats["repeats"] == 3
-    assert stats["obj_mean"] == pytest.approx(rec.obj_mean, abs=1e-10)
-    assert stats["acc_mean"] == pytest.approx(rec.acc_mean, abs=1e-12)
+    assert stats["obj_mean"] == rec.obj_mean
+    assert stats["acc_mean"] == rec.acc_mean
+
+
+@pytest.mark.parametrize("model, transfer", [
+    ("cond-jc", "linear"), ("cond", "linear"), ("joint", "linear"), ("soft-em", "linear"),
+    ("disc", "sigmoid"), ("alt-hard", "linear"),
+])
+def test_score_reproduces_run_experiment_statistics(tmp_path, model, transfer):
+    # run_experiment and score share one scorer, so score recomputes each
+    # statistic bit for bit from the persisted assignments
+    p = tmp_path / "blobs.csv"
+    write_blobs(p, noise=3.0)  # overlapping blobs, so repeats differ
+    out = tmp_path / "cells"
+    spec = ExperimentSpec(dataset=str(p), model=model, transfer=transfer, label_column="label",
+                          restarts=4, seed=0, max_iter=2 if model == "disc" else 100,
+                          out=str(out))
+    rec = run_experiment(spec)
+    stats = score_assignments(p, out / rec.assignment_file, transfer=transfer,
+                              label_column="label")
+    assert stats["repeats"] == 4
+    assert (stats["acc_mean"], stats["acc_std"]) == (rec.acc_mean, rec.acc_std)
+    objs = (stats["obj_mean"], stats["obj_std"])
+    if model == "alt-hard":  # Lloyd's own objective, equal to cond_objective up to rounding
+        assert objs == pytest.approx((rec.obj_mean, rec.obj_std), rel=1e-12)
+    else:
+        assert objs == (rec.obj_mean, rec.obj_std)
 
 
 def test_run_grid_isolates_failures(tmp_path):

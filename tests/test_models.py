@@ -192,6 +192,27 @@ def test_cond_small_decrease_stop_is_not_converged():
     assert not sol.converged
 
 
+@pytest.mark.parametrize("model", ["cond-jc", "cond", "joint", "disc"])
+@pytest.mark.parametrize("d, t", [(2, 16), (3, 18)])
+def test_converged_means_certificate_met(model, d, t):
+    # converged is the certificate and nothing else: the final GCG gap
+    # below tol, or both final ADMM residuals below admm_tol * sqrt(t)
+    rng = np.random.default_rng(100 * d)
+    if model == "disc":  # about 0.3 s per GCG iteration here
+        X, _ = planted_bernoulli(t, d, rng)
+        config = ModelConfig(d=d, family="bernoulli", max_iter=5)
+    else:
+        X, _ = planted_euclidean(t, d, rng)
+        config = ModelConfig(d=d, max_iter=300)
+    sol = solve_relaxation(model, X, config)
+    if model == "cond-jc":
+        last = sol.trace[-1]
+        certified = max(last["primal"], last["dual"]) < config.admm_tol * np.sqrt(t)
+    else:
+        certified = sol.auxiliaries["gap"] < config.tol
+    assert sol.converged == certified
+
+
 # ------------------------------------------------------------------ disc
 
 

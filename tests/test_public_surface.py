@@ -3,7 +3,8 @@
 The public API is the import block of ``bregrelax/__init__.py``.  A name
 belongs there only if the package, the demos, the benchmark harness or
 the README uses it; a name that only tests read is a test oracle and
-lives in ``tests/conftest.py``.
+lives in ``tests/conftest.py``.  Every module-level import in a src
+module is read by that module.
 """
 
 import ast
@@ -40,3 +41,20 @@ def test_every_export_has_a_user_outside_the_tests():
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     assert sources
     assert sorted(_exports() - used) == []
+
+
+def test_no_unused_module_imports_in_src():
+    # a module-level import must be read by its module; a name kept only so
+    # the perfbench tracer can patch it is not a use
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {alias.asname or alias.name.split(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}: {name}" for name in sorted(bound - read)]
+    assert unused == []

@@ -100,13 +100,19 @@ def test_matched_accuracy_length_mismatch():
 
 
 def test_soft_accuracy_one_hot_reduces_to_matched(rng):
+    # matched_accuracy is soft_accuracy on one-hot labels, so check both
+    # against every cluster -> class permutation rather than each other
     truth = rng.integers(0, 3, size=24)
     pred = rng.integers(0, 3, size=24)
+    best = max(np.mean(np.array(perm)[pred] == truth)
+               for perm in itertools.permutations(range(3)))
     P = np.zeros((24, 3))
     P[np.arange(24), pred] = 1.0
-    val, matching = soft_accuracy(P, truth)
-    assert val == pytest.approx(matched_accuracy(pred, truth)[0], rel=1e-12)
-    assert set(matching) <= {0, 1, 2}
+    for val, matching in (soft_accuracy(P, truth), matched_accuracy(pred, truth)):
+        assert val == pytest.approx(best, rel=1e-12)
+        assert sorted(matching) == [0, 1, 2]
+        mapped = np.array([matching[j] for j in pred])
+        assert np.mean(mapped == truth) == pytest.approx(val, rel=1e-12)
 
 
 def test_soft_accuracy_uniform_posterior(rng):
