@@ -16,7 +16,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import bench
-from .models import MODELS, RELAXATION_MODELS, alternating_hard, soft_em, solve_relaxation
+from .models import (
+    MODELS,
+    RELAXATION_MODELS,
+    alternating_hard,
+    cond_objective,
+    soft_em,
+    solve_relaxation,
+)
 from .rounding import matched_accuracy
 
 
@@ -168,13 +175,11 @@ def cmd_solve(args):
             summary["out"] = str(out_dir)
     else:
         if spec.model == "alt-hard":
-            res = alternating_hard(ds.X, cfg)
-            labels = res.labels
-            objective = res.objective
+            labels = alternating_hard(ds.X, cfg).labels
         else:
-            res = soft_em(ds.X, cfg)
-            labels = res.posteriors.argmax(axis=1)
-            objective = res.loglik
+            labels = soft_em(ds.X, cfg).posteriors.argmax(axis=1)
+        # the hard objective of the labeling, the figure bench scores
+        objective = cond_objective(ds.X, labels, cfg.family)
         acc, _ = matched_accuracy(labels, ds.labels)
         summary.update(objective=objective, accuracy=acc, restarts=cfg.restarts)
         if spec.out:

@@ -79,7 +79,9 @@ def capped_box_simplex_project(sigma, budget):
     Water-filling: mu_i = clip(sigma_i - lam, 0, 1) with the smallest
     shift lam >= 0 meeting the budget.  lam is found by an exact scan over
     the 2t sorted breakpoints {sigma_i, sigma_i - 1}, where the sum of the
-    clipped vector is piecewise linear in lam.
+    clipped vector is piecewise linear in lam.  The sum is evaluated at
+    every breakpoint from one sort of sigma and its suffix sums, so the
+    scan costs O(t log t).
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
     if budget <= 0:
@@ -95,7 +97,14 @@ def capped_box_simplex_project(sigma, budget):
     points = points[points > 0.0]
     points = np.concatenate([[0.0], points])
 
-    values = np.clip(sigma - points[:, None], 0.0, 1.0).sum(axis=1)
+    # at lam, entries above lam + 1 add 1 each and entries in (lam, lam + 1)
+    # add sigma_i - lam; suffix sums of the sorted sigma give the latter
+    ordered = np.sort(sigma)
+    suffix = np.concatenate([np.cumsum(ordered[::-1])[::-1], [0.0]])
+    inside = np.searchsorted(ordered, points, side="right")
+    above = np.searchsorted(ordered, points + 1.0, side="left")
+    values = (sigma.size - above) + (suffix[inside] - suffix[above]) - points * (above - inside)
+    values[0] = total  # g(0), already known to exceed the budget
     # First breakpoint where the sum has dropped to or below the budget; the
     # crossing lies in the segment ending there (g(0) > budget is known).
     k = int(np.argmax(values <= budget))

@@ -14,7 +14,9 @@ Three engines, kept independent of any particular clustering model:
 * ``admm_solve`` -- alternating direction method for minimizing the primal
   divergence D_F(X, M X) over the ``simplex`` relaxation set, splitting the
   row-simplex constraints (handled row-wise by projected gradient) from the
-  spectral ones (handled by the closed-form ``rowsum`` projection).
+  spectral ones (handled by the closed-form ``rowsum`` projection), with
+  over-relaxed updates and a penalty balanced on normalized residuals
+  (Boyd et al., 2011, sections 3.4.1 and 3.4.3).
 """
 
 import warnings
@@ -395,6 +397,7 @@ class AdmmResult:
 
 
 ADMM_MU0 = 1.0
+ADMM_RELAX = 1.6
 ADMM_INNER_TOL = 1e-8
 ADMM_INNER_MAX_ITER = 500
 
@@ -404,13 +407,18 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
 
     Alternates (1) row-decoupled minimization of the loss plus proximity
     to Z + mu * multiplier over row simplices, (2) projection of
-    M - mu * multiplier onto the ``rowsum`` set, (3) multiplier update by
-    (Z - M) / mu.  Terminates when max(primal, dual) residual drops below
-    tol * sqrt(t).  The penalty mu starts at ``ADMM_MU0`` and is
-    rebalanced (halved or doubled) when the residuals diverge by more than
-    a factor of ten.  The row subproblems stop at ``ADMM_INNER_MAX_ITER``
-    iterations or at an accuracy that follows the outer residual down to
-    ``ADMM_INNER_TOL``.
+    R - mu * multiplier onto the ``rowsum`` set, (3) multiplier update by
+    (Z - R) / mu, where R = a M + (1 - a) Z is the over-relaxed row
+    iterate with a = ``ADMM_RELAX`` (Eckstein & Bertsekas, 1992; Boyd et
+    al., 2011, section 3.4.3).  The residuals are primal = ||M - Z|| and
+    dual = ||Z - Z_prev|| / mu; the solve terminates when both drop below
+    tol * sqrt(t).  The penalty mu starts at ``ADMM_MU0`` and is halved or
+    doubled, within [1e-6, 1e6], when one residual exceeds the other by
+    more than a factor of ten after each is normalized by the scale of its
+    iterates: primal by max(||M||, ||Z||), dual by ||multiplier|| (Boyd et
+    al., 2011, section 3.4.1).  The row subproblems stop at
+    ``ADMM_INNER_MAX_ITER`` iterations or at an accuracy that follows the
+    outer residual down to ``ADMM_INNER_TOL``.
 
     Returns an AdmmResult whose ``M`` satisfies the row constraints exactly
     (so M @ X stays inside the data hull) and whose ``Z`` satisfies the
@@ -442,8 +450,9 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
             # calls so one hard subproblem cannot pin the rest of the run
             np.minimum(eta * 1.5, 1e6, out=eta)
         M = _admm_rows_pg(fam, X, M, anchors, mu, itol, ADMM_INNER_MAX_ITER, lip=lip, eta=eta)
-        Z_new = project_rowsum(M - mu * Lam, d)
-        Lam = Lam + (Z_new - M) / mu
+        relaxed = ADMM_RELAX * M + (1.0 - ADMM_RELAX) * Z
+        Z_new = project_rowsum(relaxed - mu * Lam, d)
+        Lam = Lam + (Z_new - relaxed) / mu
         primal = float(np.linalg.norm(M - Z_new))
         dual = float(np.linalg.norm(Z_new - Z) / mu)
         Z = Z_new
@@ -461,9 +470,12 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
         if max(primal, dual) < threshold:
             converged = True
             break
-        if primal > 10.0 * dual and mu > 1e-6:
+        # balance the residuals relative to the scales of their iterates
+        rel_primal = primal / max(np.linalg.norm(M), np.linalg.norm(Z), 1e-300)
+        rel_dual = dual / max(np.linalg.norm(Lam), 1e-300)
+        if rel_primal > 10.0 * rel_dual and mu > 1e-6:
             mu *= 0.5
-        elif dual > 10.0 * primal and mu < 1e6:
+        elif rel_dual > 10.0 * rel_primal and mu < 1e6:
             mu *= 2.0
     objective = rowwise_objective(fam, X, M)
     return AdmmResult(

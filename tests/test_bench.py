@@ -26,7 +26,7 @@ from bregrelax import (
     score_assignments,
     stratified_subsample,
 )
-from bregrelax.bench import transfer_family
+from bregrelax.bench import prepare, transfer_family
 from bregrelax.cli import KNOBS, _bench_grid, build_parser, main, read_config
 
 from conftest import planted_euclidean
@@ -452,6 +452,24 @@ def test_cli_solve_baseline(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["accuracy"] == 1.0
     assert summary["model"] == "alt-hard" and summary["clusters"] == 2
+
+
+@pytest.mark.parametrize("transfer", ["linear", "sigmoid"])
+@pytest.mark.parametrize("model", ["alt-hard", "soft-em"])
+def test_cli_solve_baseline_objective_is_hard_objective(tmp_path, capsys, model, transfer):
+    # every baseline reports the hard objective of its labeling, lower is better
+    p = tmp_path / "blobs.csv"
+    write_blobs(p)
+    out = tmp_path / "sol"
+    rc = main(["solve", "--data", str(p), "--model", model, "--transfer", transfer,
+               "--label-col", "label", "--seed", "1", "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    spec = ExperimentSpec(dataset=str(p), model=model, transfer=transfer,
+                          label_column="label", seed=1)
+    ds, cfg = prepare(spec)
+    labels = np.loadtxt(out / f"{spec.cell_name()}_assignments.csv", delimiter=",", dtype=int)
+    assert summary["objective"] == cond_objective(ds.X, labels, cfg.family)
 
 
 def test_cli_solve_relaxation_artifacts(tmp_path, capsys):

@@ -125,6 +125,38 @@ def test_capped_box_kkt(rng):
             assert lam * (budget - mu.sum()) == pytest.approx(0.0, abs=1e-8)
 
 
+def _dense_scan_project(sigma, budget):
+    """The O(t^2) scan: the clipped sum evaluated at every breakpoint at once."""
+    sigma = np.asarray(sigma, dtype=float)
+    clipped = np.clip(sigma, 0.0, 1.0)
+    if clipped.sum() <= budget:
+        return clipped
+    points = np.unique(np.concatenate([sigma, sigma - 1.0]))
+    points = np.concatenate([[0.0], points[points > 0.0]])
+    values = np.clip(sigma - points[:, None], 0.0, 1.0).sum(axis=1)
+    k = int(np.argmax(values <= budget))
+    lo, hi, glo, ghi = points[k - 1], points[k], values[k - 1], values[k]
+    lam = hi if ghi == budget else lo + (glo - budget) * (hi - lo) / (glo - ghi)
+    return np.clip(sigma - lam, 0.0, 1.0)
+
+
+def test_capped_box_sorted_scan_matches_dense_scan(rng):
+    for trial in range(3000):
+        t = int(rng.integers(1, 40))
+        if trial % 3 == 0:
+            # half-integer grid: repeated entries and breakpoints one apart
+            sigma = rng.integers(-4, 8, size=t) / 2.0
+        else:
+            sigma = rng.normal(size=t) * rng.choice([0.3, 1.0, 3.0])
+        # budgets from well below the clipped sum to above it
+        budget = float(rng.uniform(0.1, t + 1.0))
+        if trial % 7 == 0:
+            budget = float(rng.integers(1, t + 2))
+        got = capped_box_simplex_project(sigma, budget)
+        want = _dense_scan_project(sigma, budget)
+        assert np.max(np.abs(got - want)) <= 1e-12, (sigma, budget)
+
+
 def test_capped_box_matches_qp_oracle(rng):
     cp = require_cvxpy()
     for _ in range(5):

@@ -357,6 +357,21 @@ def test_admm_exit_feasibility(rng):
     assert check_membership(res.Z, 3, "rowsum", tol=1e-7)
 
 
+@pytest.mark.parametrize("fam", ["euclidean", "bernoulli"])
+def test_admm_certified_M_in_simplex_set(rng, fam):
+    from conftest import planted_bernoulli
+
+    planted = planted_euclidean if fam == "euclidean" else planted_bernoulli
+    for d, t in ((2, 12), (3, 15)):
+        X, _ = planted(t, d, rng)
+        res = admm_solve(X, d, fam, tol=1e-5, max_iter=2000)
+        assert res.converged
+        # ||M - Z||_F = primal, so M's eigenvalues lie within primal of Z's
+        # and its trace within sqrt(t) * primal; Z is in the rowsum set
+        tol = np.sqrt(t) * res.primal_residual + 1e-9
+        assert check_membership(0.5 * (res.M + res.M.T), d, "simplex", tol=tol)
+
+
 def test_admm_bernoulli_instance(rng):
     from conftest import planted_bernoulli
 
