@@ -32,7 +32,6 @@ class MembershipReport:
     """Outcome of a set-membership check with per-constraint violations."""
 
     ok: bool
-    relaxation: str
     worst: float
     violations: dict = field(default_factory=dict)
 
@@ -68,9 +67,7 @@ def check_membership(M, d, relaxation="rowsum", tol=1e-8):
         measured["nonnegativity"] = float(max(0.0, -M.min()))
     worst = max(measured.values()) if measured else 0.0
     violations = {k: v for k, v in measured.items() if v > tol}
-    return MembershipReport(
-        ok=not violations, relaxation=relaxation, worst=worst, violations=violations
-    )
+    return MembershipReport(ok=not violations, worst=worst, violations=violations)
 
 
 def capped_box_simplex_project(sigma, budget):

@@ -196,7 +196,8 @@ def test_cond_small_decrease_stop_is_not_converged():
 @pytest.mark.parametrize("d, t", [(2, 16), (3, 18)])
 def test_converged_means_certificate_met(model, d, t):
     # converged is the certificate and nothing else: the final GCG gap
-    # below tol, or both final ADMM residuals below admm_tol * sqrt(t)
+    # below tol, or the final ADMM residuals and row defect below
+    # admm_tol * sqrt(t)
     rng = np.random.default_rng(100 * d)
     if model == "disc":  # about 0.3 s per GCG iteration here
         X, _ = planted_bernoulli(t, d, rng)
@@ -207,7 +208,8 @@ def test_converged_means_certificate_met(model, d, t):
     sol = solve_relaxation(model, X, config)
     if model == "cond-jc":
         last = sol.trace[-1]
-        certified = max(last["primal"], last["dual"]) < config.admm_tol * np.sqrt(t)
+        worst = max(last["primal"], last["dual"], last["defect"])
+        certified = worst < config.admm_tol * np.sqrt(t)
     else:
         certified = sol.auxiliaries["gap"] < config.tol
     assert sol.converged == certified

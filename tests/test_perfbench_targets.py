@@ -66,3 +66,17 @@ def test_workload_checks_pass_on_a_solved_cell(workloads, model):
     checks = workloads.relaxation_checks(model, solved, workloads.m_digest(solution.M))
     assert checks
     assert not [check for check in checks if not check[1]]
+
+
+@pytest.mark.parametrize("fam", ["euclidean", "bernoulli"])
+def test_certified_admm_solve_is_certified_for_perfbench(workloads, fam):
+    # perfbench's certificate reads max(primal, dual) alone; the solver's
+    # stop test adds the row defect, so it is the stricter of the two
+    from conftest import planted_bernoulli, planted_euclidean
+
+    planted = planted_euclidean if fam == "euclidean" else planted_bernoulli
+    X, _ = planted(16, 2, np.random.default_rng(200))
+    config = models.ModelConfig(d=2, family=fam)
+    solution = models.solve_relaxation("cond-jc", X, config)
+    assert solution.converged
+    assert workloads.stop_reason(solution, X, config) == "certified"

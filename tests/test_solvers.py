@@ -10,6 +10,7 @@ from bregrelax import (
     admm_solve,
     check_membership,
     cluster_norm,
+    cluster_norm_dual,
     gcg_line_search,
     gcg_minimize,
     rowwise_objective,
@@ -243,7 +244,29 @@ def test_gcg_trace_monotone_and_tracker_majorizes(rng):
     res = gcg_minimize(quadratic_loss(X), 0.2, d=3, tol=1e-10, max_iter=300)
     objs = [row["objective"] for row in res.trace]
     assert all(objs[i + 1] <= objs[i] + 1e-10 for i in range(len(objs) - 1))
-    assert res.norm_tracker >= res.norm - 1e-6
+    # the traced objective uses the tracker s, the final one norm(T):
+    # they differ by (alpha/2)(s^2 - norm(T)^2), so s majorizes the norm
+    assert res.trace[-1]["objective"] >= res.objective - 1e-6
+
+
+def test_gcg_certified_solves_meet_optimality_identities():
+    # at the optimum of L(T) + (alpha/2) norm(T)^2 with G = grad L(T):
+    # dual(G) = alpha norm(T) and <G, T> = -alpha norm(T)^2 (no cvxpy needed)
+    rng = np.random.default_rng(3)
+    instances = [((6, 3), 0.8, 2), ((6, 3), 0.3, 2), ((8, 4), 0.5, 2),
+                 ((5, 3), 2.0, 3), ((7, 4), 0.2, 3), ((6, 3), 0.3, 3)]
+    certified = 0
+    for shape, alpha, d in instances:
+        C = rng.normal(size=shape)
+        res = gcg_minimize(quadratic_loss(C), alpha, d=d, tol=1e-10, max_iter=2000)
+        if not res.converged:
+            continue  # a stopped solve is off by about its gap
+        certified += 1
+        G = res.T - C
+        scale = 1e-9 * max(1.0, alpha * res.norm**2)
+        assert abs(cluster_norm_dual(G, d) - alpha * res.norm) <= scale
+        assert abs(np.sum(G * res.T) + alpha * res.norm**2) <= scale
+    assert certified >= 3, certified
 
 
 def test_gcg_sublinear_rate(rng):
@@ -279,31 +302,48 @@ def test_gcg_requires_a_segment():
         gcg_minimize(problem, 0.5, d=2)
 
 
-def row_steps(fam, X, anchors, mu, lip=None, tol=1e-12):
-    """ADMM row subproblems solved from uniform rows, as ``admm_solve`` starts."""
+def row_steps(fam, X, anchors, mu, lip=None):
+    """ADMM row step from uniform rows, as ``admm_solve`` starts: (M, defect)."""
     t = X.shape[0]
     M0 = np.full((t, t), 1.0 / t)
     eta = None if lip is not None else np.full(t, min(1.0, mu))
-    return _admm_rows_pg(family(fam), X, M0, anchors, mu, tol, 5000, lip=lip, eta=eta)
+    return _admm_rows_pg(family(fam), X, M0, anchors, mu, lip=lip, eta=eta)
 
 
 def test_row_step_zero_loss_is_projection(rng):
-    # X = 0 makes every row loss D(0, m X) vanish, leaving the proximal term
+    # X = 0 makes every row loss D(0, m X) vanish, leaving the proximal term,
+    # which one step of length mu minimizes exactly
     anchors = rng.normal(size=(5, 5))
-    out = row_steps("euclidean", np.zeros((5, 2)), anchors, mu=0.7, lip=0.0)
+    out, defect = row_steps("euclidean", np.zeros((5, 2)), anchors, mu=0.7, lip=0.0)
     for i in range(5):
         assert np.allclose(out[i], simplex_project(anchors[i]), atol=1e-8)
+    assert np.max(np.abs(defect)) <= 1e-12
 
 
 def test_row_step_feasible(rng):
     X = rng.uniform(0.1, 0.9, size=(6, 4))
-    out = row_steps("bernoulli", X, rng.normal(size=(6, 6)), mu=1.0)
+    out, _ = row_steps("bernoulli", X, rng.normal(size=(6, 6)), mu=1.0)
     assert np.all(out >= 0.0)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-10)
 
 
+SIMPLEX_GRID = np.array([(i, j, 200 - i - j) for i in range(201)
+                         for j in range(201 - i)], dtype=float) / 200
+
+
+def assert_shifted_optimal(total, grad, out, defect):
+    # the row step's M exactly minimizes each row objective minus
+    # <defect_i, m>: it is a fixed point of the projected gradient step on
+    # that shifted objective, and no point of a barycentric sweep of the
+    # 2-simplex (t = 3) beats it; total and grad map rows of m to values
+    for i in range(3):
+        shifted_step = out[i] - (grad(i, out[i]) - defect[i])
+        assert np.allclose(simplex_project(shifted_step), out[i], atol=1e-9)
+        best = np.min(total(i, SIMPLEX_GRID) - SIMPLEX_GRID @ defect[i])
+        assert total(i, out[i]) - defect[i] @ out[i] <= best + 1e-4
+
+
 def test_row_step_matches_grid_oracle(rng):
-    # t = 3 keeps each row on the 2-simplex, where a barycentric sweep is exact
     X = rng.normal(size=(3, 2))
     anchors = rng.normal(size=(3, 3))
     mu = 0.8
@@ -311,16 +351,32 @@ def test_row_step_matches_grid_oracle(rng):
 
     def total(i, m):
         r = m @ X - X[i]
-        return 0.5 * float(r @ r) + 0.5 * np.sum((m - anchors[i]) ** 2) / mu
+        return 0.5 * np.sum(r * r, axis=-1) + 0.5 * np.sum((m - anchors[i]) ** 2, axis=-1) / mu
 
-    steps = 200
-    grid = [np.array([i, j, steps - i - j], dtype=float) / steps
-            for i in range(steps + 1) for j in range(steps + 1 - i)]
-    for out in (row_steps("euclidean", X, anchors, mu, lip=lip),
-                row_steps("euclidean", X, anchors, mu)):
-        for i in range(3):
-            best = min(total(i, m) for m in grid)
-            assert total(i, out[i]) <= best + 1e-4
+    def grad(i, m):
+        return (m @ X - X[i]) @ X.T + (m - anchors[i]) / mu
+
+    assert_shifted_optimal(total, grad, *row_steps("euclidean", X, anchors, mu, lip=lip))
+    assert_shifted_optimal(total, grad, *row_steps("euclidean", X, anchors, mu))
+
+
+def test_row_step_bernoulli_matches_shifted_grid_oracle(rng):
+    # backtracked steps differ per row, and so does the defect's factor
+    fam = family("bernoulli")
+    X = rng.uniform(0.1, 0.9, size=(3, 2))
+    anchors = rng.normal(size=(3, 3))
+    mu = 0.8
+
+    def total(i, m):
+        y = m @ X  # inside the data hull, so inside (0, 1)
+        loss = fam.potential(X[i]) - fam.potential(y) - (X[i] - y) * fam.transfer(y)
+        return np.sum(loss, axis=-1) + 0.5 * np.sum((m - anchors[i]) ** 2, axis=-1) / mu
+
+    def grad(i, m):
+        y = m @ X
+        return ((y - X[i]) / (y * (1.0 - y))) @ X.T + (m - anchors[i]) / mu
+
+    assert_shifted_optimal(total, grad, *row_steps("bernoulli", X, anchors, mu))
 
 
 def test_admm_two_clouds_recovers_partition(rng):
@@ -386,7 +442,7 @@ def test_admm_trace_records_residuals(rng):
     X, _ = planted_euclidean(8, 2, rng)
     res = admm_solve(X, 2, "euclidean", tol=1e-5, max_iter=2000)
     assert len(res.trace) == res.iterations
-    assert {"iteration", "objective", "primal", "dual", "mu"} <= set(res.trace[0])
+    assert {"iteration", "objective", "primal", "dual", "defect", "mu"} <= set(res.trace[0])
 
 
 def test_rowwise_objective_mean_matrix(rng):
