@@ -219,19 +219,20 @@ def _disc_problem(X):
     [logsumexp(Z_i) - Z_ii].  Evaluation minimizes over tau with a warm
     started smooth solve to gradient norm ``BIAS_TOL`` (at most
     ``BIAS_MAX_ITER`` iterations), so gradients in V are envelope
-    gradients.  Returns the SmoothProblem and the bias array ``tau``,
-    which each ``value_and_grad`` call overwrites with its solved bias
-    (the warm start of the next solve).
+    gradients.  The segment holds the bias of its iterate fixed, which
+    majorizes the envelope (see ``segment``).  Returns the SmoothProblem
+    and the bias array ``tau``, which each ``value_and_grad`` call
+    overwrites with its solved bias (the warm start of the next solve).
     """
     t = X.shape[0]
     tau = np.zeros(t)
 
-    def solve_tau(Z0, tau0):
+    def solve_tau(Z0):
         def vg(s):
             value, P = _disc_terms(Z0, s)
             return value, (P.sum(axis=0) - 1.0) / t
 
-        prob = SmoothProblem(shape=(t,), value_and_grad=vg, x0=tau0)
+        prob = SmoothProblem(shape=(t,), value_and_grad=vg, x0=tau)
         res = smooth_minimize(prob, tol=BIAS_TOL, max_iter=BIAS_MAX_ITER)
         if not res.converged:
             raise SolverDivergence(f"bias solve stalled at gradient norm {res.grad_norm:.3e}")
@@ -239,35 +240,31 @@ def _disc_problem(X):
 
     def value_and_grad(V):
         Z0 = X @ V.T / t
-        res = solve_tau(Z0, tau)
+        res = solve_tau(Z0)
         tau[:] = res.x
         _, P = _disc_terms(Z0, tau)
         return res.objective, (P - np.eye(t)).T @ X / t**2
 
     def segment(V, S):
-        """Envelope value and gradient along a*V + b*S; fixed-bias curvature.
+        """The fixed-bias loss along a*V + b*S, a majorizer of the envelope.
 
-        The score matrix moves along A = X V' / t and B = X S' / t.  The
-        bias absorbs their column means exactly, so the curvature is taken
-        along the column-centred directions Ac, Bc with tau held fixed:
-        (1/t) sum_i Cov_{P_i}(Ac_i, Bc_i).  Minimizing tau out can only
-        lower curvature, so this is an upper bound on the envelope's and
-        the Newton steps stay conservative.
+        The bias is solved once, at V: in GCG's call order that is the
+        bias ``value_and_grad(V)`` just solved, so the solve returns at its
+        first gradient check.  Minimizing the bias out can only lower the
+        loss, so the fixed-bias loss bounds the envelope from above, and it
+        touches it with the same gradient at (1, 0).  Its value, gradient
+        and curvature (1/t) sum_i Cov_{P_i}(A_i, B_i) along the score
+        directions A = X V' / t and B = X S' / t are exact.
         """
         A = X @ V.T / t
         B = X @ S.T / t
-        warm = tau.copy()
-        Ac = A - A.mean(axis=0)
-        Bc = B - B.mean(axis=0)
+        fixed = solve_tau(A).x
 
         def phi(a, b):
-            Z0 = a * A + b * B
-            res = solve_tau(Z0, warm)
-            warm[:] = res.x
-            _, P = _disc_terms(Z0, warm)
-            g, H = _segment_derivatives((P - np.eye(t)) / t, P / t, Ac, Bc)
-            m = np.stack([np.sum(P * Ac, axis=1), np.sum(P * Bc, axis=1)])
-            return res.objective, g, H - m @ m.T / t
+            value, P = _disc_terms(a * A + b * B, fixed)
+            g, H = _segment_derivatives((P - np.eye(t)) / t, P / t, A, B)
+            m = np.stack([np.sum(P * A, axis=1), np.sum(P * B, axis=1)])
+            return value, g, H - m @ m.T / t
 
         return phi
 
@@ -277,7 +274,9 @@ def _disc_problem(X):
 def solve_disc(X, config):
     """Discriminative relaxation, solved by GCG with the bias solved out.
 
-    The bias solves run to gradient norm ``BIAS_TOL`` (within
+    The bias is solved at each iterate and held fixed along its line
+    search, so each GCG iteration makes two bias solves, the second of
+    which returns at once.  They run to gradient norm ``BIAS_TOL`` (within
     ``BIAS_MAX_ITER`` iterations) whatever ``config.tol`` is, and they need
     bounded features: on unbounded ones (raw gaussian data, say) a bias
     solve can stall and raise SolverDivergence.  That is why ExperimentSpec

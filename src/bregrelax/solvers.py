@@ -9,8 +9,8 @@ Three engines, kept independent of any particular clustering model:
   The atom oracle is a dual-norm subgradient; a scalar tracker s majorizes
   the norm of the iterate so the norm itself is only evaluated once, at the
   final iterate.  ``gcg_line_search`` picks the next iterate a*T + b*S by
-  projected Newton on (a, b), from the segment's value, gradient and 2x2
-  curvature.
+  projected Newton on (a, b), from the value, gradient and 2x2 curvature
+  of the segment or of a majorizer touching it at the iterate.
 * ``admm_solve`` -- alternating direction method for minimizing the primal
   divergence D_F(X, M X) over the ``simplex`` relaxation set, splitting the
   row-simplex constraints (a few projected-gradient steps per iteration,
@@ -51,9 +51,9 @@ class SmoothProblem:
     ``segment`` is the line-search evaluator, required by GCG:
     ``segment(T, S)`` returns a callable ``phi(a, b) -> (value, grad_ab,
     hess_ab)`` giving the value at ``a*T + b*S``, its gradient in (a, b)
-    (``<grad L, T>``, ``<grad L, S>``) and a symmetric 2x2 curvature.  The
-    curvature should be exact or an upper bound (the line search then
-    takes shorter, still safe steps).
+    (``<grad L, T>``, ``<grad L, S>``) and a symmetric 2x2 curvature.  phi
+    may instead be a majorizer of L along the segment that equals L, with
+    the same gradient, at (a, b) = (1, 0): minimizing it still descends L.
     """
 
     shape: tuple
@@ -158,9 +158,9 @@ def gcg_line_search(loss, T, S, s, alpha):
     quadratic model over the quadrant in closed form (``_quadrant_newton``)
     and is guarded by an Armijo backtrack on phi.  The search starts from
     the better of the two endpoints (keep the iterate / jump to the atom)
-    and only accepts decreases, so the result is never worse than either.
-    An exactly quadratic L takes one step.  Stops when the model promises
-    less than roundoff, 1e-14 (1 + |phi|), or after 50 steps.
+    and only accepts decreases, so phi at the result is never worse than
+    at either.  An exactly quadratic L takes one step.  Stops when the
+    model promises less than roundoff, 1e-14 (1 + |phi|), or after 50 steps.
 
     Derivatives come from ``loss.segment``.  A non-finite value at the
     atom raises SolverDivergence.
@@ -225,40 +225,38 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000):
     a*T + b*S (``gcg_line_search``: projected Newton on (a, b), so each
     iteration costs a handful of segment evaluations), and updates
     s <- a*s + b.  Stops when the gap estimate, evaluated at the rescaled
-    atom, falls below ``tol`` (``converged`` is then True), or when the
-    relative decrease of the majorized objective does (``converged``
-    stays False: a stall certifies nothing).  ``loss`` is a SmoothProblem
-    whose ``segment`` must be set; a ValueError says so otherwise.
+    atom, falls below ``tol``, when the relative decrease of the majorized
+    objective does (a stall) or after ``max_iter`` steps.  ``gap`` is that
+    of the returned iterate and ``converged`` says it is below ``tol``: a
+    stall or the cap certifies nothing.  ``loss`` is a SmoothProblem whose
+    ``segment`` must be set; a ValueError says so otherwise.
     """
     if loss.segment is None:
         raise ValueError("gcg_minimize needs loss.segment for its line search")
+
+    def gap_and_atom(T, s, f, G, iteration):
+        """The gap at (T, s) and the unit atom at G; (0, None) when G = 0."""
+        if not np.isfinite(f) or not np.all(np.isfinite(G)):
+            raise SolverDivergence(f"non-finite loss or gradient at iteration {iteration}",
+                                   iterate=T, iteration=iteration)
+        dual = cluster_norm_dual(G, d)
+        if dual <= 1e-300:
+            return 0.0, None
+        # unit-norm descent atom; the tracker update below stays a valid
+        # norm majorization only because norm(S) = 1
+        S = -cluster_norm_dual_subgradient(G, d)
+        scaled = dual / alpha  # its rescaling minimizes <G,.> + (alpha/2) norm^2
+        return float(np.sum(G * (T - scaled * S)) + alpha * s * (s - scaled)), S
+
     T = np.zeros(loss.shape)
     s = 0.0
     f, G = loss.value_and_grad(T)
     objective = float(f)
     trace = [{"iteration": 0, "objective": objective, "gap": None}]
-    converged = False
-    gap = float("inf")
+    gap, S = gap_and_atom(T, s, f, G, 1)
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        if not np.isfinite(f) or not np.all(np.isfinite(G)):
-            raise SolverDivergence(
-                f"non-finite loss or gradient at iteration {iteration}",
-                iterate=T,
-                iteration=iteration,
-            )
-        dual = cluster_norm_dual(G, d)
-        if dual <= 1e-300:
-            converged = True
-            gap = 0.0
-            break
-        # unit-norm descent atom; the tracker update below stays a valid
-        # norm majorization only because norm(S) = 1
-        S = -cluster_norm_dual_subgradient(G, d)
-        scaled = dual / alpha  # its rescaling minimizes <G,.> + (alpha/2) norm^2
-        gap = float(np.sum(G * (T - scaled * S)) + alpha * s * (s - scaled))
-        if gap < tol:
-            converged = True
+        if S is None or gap < tol:
             break
         a, b = gcg_line_search(loss, T, S, s, alpha)
         T = a * T + b * S
@@ -268,6 +266,7 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000):
         decrease = objective - new_objective
         objective = new_objective
         trace.append({"iteration": iteration, "objective": objective, "gap": gap})
+        gap, S = gap_and_atom(T, s, f, G, iteration + 1)
         if decrease < tol * max(1.0, abs(objective)):
             break  # stalled: stop, but only the gap certifies convergence
 
@@ -277,7 +276,7 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000):
         norm=norm_T,
         objective=float(f) + 0.5 * alpha * norm_T * norm_T,
         iterations=iteration,
-        converged=converged,
+        converged=S is None or gap < tol,
         gap=gap,
         trace=trace,
     )

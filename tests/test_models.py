@@ -25,6 +25,7 @@ from bregrelax import (
     solve_relaxation,
     spectral_round,
 )
+from bregrelax import bench, models
 from bregrelax.models import (
     _cond_problem,
     _disc_problem,
@@ -41,6 +42,7 @@ from conftest import (
     planted_bernoulli,
     planted_euclidean,
 )
+from test_perfbench_targets import workloads  # noqa: F401  (fixture)
 
 
 def small_config(**kw):
@@ -404,20 +406,55 @@ def test_bernoulli_segment_saturated_entry_has_zero_curvature():
     assert np.array_equal(hess, np.zeros((2, 2)))
 
 
-def test_disc_segment_curvature_bounds_envelope(rng):
+def test_disc_segment_majorizes_envelope(rng):
+    # the segment holds the bias solved at V fixed: it touches the envelope
+    # with the same gradient at (1, 0) and lies above it elsewhere
     X, _ = planted_bernoulli(8, 2, rng)
-    disc, _ = _disc_problem(X)
+    disc, tau = _disc_problem(X)
     V = rng.normal(scale=20.0, size=X.shape)
     S = rng.normal(scale=20.0, size=X.shape)
+    value, G = disc.value_and_grad(V)
+    fixed = tau.copy()
+    phi = disc.segment(V, S)
+    val, grad, hess = phi(1.0, 0.0)
+    assert abs(val - value) <= 1e-10
+    assert np.max(np.abs(grad - [np.sum(G * V), np.sum(G * S)])) <= 1e-10
+    for a, b in rng.uniform(0.0, 1.5, size=(20, 2)):
+        assert phi(a, b)[0] >= disc.value_and_grad(a * V + b * S)[0] - 1e-12
+
+    # phi is exactly the fixed-bias loss, derivatives included
+    def fixed_bias(W):
+        return _disc_terms(X @ W.T / len(X), fixed)[0], None
+
     a, b = 0.7, 0.4
-    val, grad, hess = disc.segment(V, S)(a, b)
-    want_val, want_grad, envelope = _central_segment(disc.value_and_grad, V, S, a, b, 1e-3)
-    assert val == pytest.approx(want_val, rel=1e-10)
-    assert np.allclose(grad, want_grad, rtol=1e-5, atol=1e-7)
-    # minimizing the bias out can only remove curvature: fixed-tau bounds it
+    got_val, got_grad, got_hess = phi(a, b)
+    want_val, want_grad, want_hess = _central_segment(fixed_bias, V, S, a, b, 1e-3)
+    assert got_val == pytest.approx(want_val, rel=1e-12)
+    assert np.allclose(got_grad, want_grad, rtol=1e-5, atol=1e-7)
+    assert np.allclose(got_hess, got_hess.T)
+    assert np.allclose(got_hess, want_hess, rtol=1e-4, atol=1e-5 * np.max(np.abs(got_hess)))
+    # where the two touch, minimizing the bias out can only remove curvature
+    _, _, envelope = _central_segment(disc.value_and_grad, V, S, 1.0, 0.0, 1e-3)
     gap = np.linalg.eigvalsh(hess - 0.5 * (envelope + envelope.T))
     assert gap[0] >= -1e-6 * np.max(np.abs(hess))
-    assert gap[-1] > 1e-3 * np.max(np.abs(hess))  # and the bound is not the envelope itself
+
+
+def test_disc_line_search_solves_no_bias_per_probe(workloads, monkeypatch):
+    # perfbench's smoke instance, on which a bias solve at every line-search
+    # probe stalls before iteration 100 (SolverDivergence): the segment
+    # solves the bias once, next to the one solve of each new iterate
+    ds = workloads.planted(workloads.stream_rng(0, 0, 0), 12, 4)
+    X = bench.preprocess(ds, "sigmoid").X
+    solves = []
+    smooth_minimize = models.smooth_minimize
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return smooth_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(models, "smooth_minimize", counted)
+    sol = solve_disc(X, ModelConfig(d=3, max_iter=100))
+    assert len(solves) <= 2 * sol.iterations + 1
 
 
 # -------------------------------------------------------------- baselines

@@ -231,6 +231,19 @@ def test_gcg_zero_start_is_fixed_point():
     assert not np.any(res.T)
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_gcg_reports_the_gap_of_the_returned_iterate(rng, k):
+    # a solve capped at k returns T_k; a solve allowed k + 1 steps
+    # evaluates T_k's gap before its last step and traces it in row k + 1
+    rng.normal(size=(6, 3))
+    C = rng.normal(size=(6, 3))
+    capped = gcg_minimize(quadratic_loss(C), 0.3, d=2, max_iter=k)
+    longer = gcg_minimize(quadratic_loss(C), 0.3, d=2, max_iter=k + 1)
+    assert capped.iterations == k and len(longer.trace) == k + 2
+    assert capped.gap == longer.trace[k + 1]["gap"]
+    assert capped.converged == (capped.gap < 1e-6)
+
+
 def test_gcg_matches_convex_reference(rng):
     X = rng.normal(size=(6, 3))
     alpha = 0.3
