@@ -347,15 +347,14 @@ def run_experiment(spec):
     alternation, and score.  Baselines aggregate across their own restarts
     directly.  Every labeling is scored after the model branches as
     ``score_assignments`` scores it, so ``score`` reproduces each statistic
-    from the persisted assignments exactly, except that ``alt-hard``
-    reports Lloyd's own objective, equal to ``cond_objective`` up to rounding.
+    from the persisted assignments exactly.  For ``alt-hard`` that score is
+    also Lloyd's own objective: ``cond_objective`` reads Lloyd's cost.
     """
     ds, config = prepare(spec)
     fam = family(config.family)
     d = config.d
     X, truth = ds.X, ds.labels
     start = time.perf_counter()
-    objs = None
     softs = []
     m_sha = ""
     trace = []
@@ -383,7 +382,6 @@ def run_experiment(spec):
     elif spec.model == "alt-hard":
         runs = alternating_restarts(X, config)
         assignments = [res.labels for res in runs]
-        objs = [res.objective for res in runs]
         iterations = max(res.iterations for res in runs)
     else:  # soft-em
         runs = soft_em_restarts(X, config)
@@ -391,8 +389,7 @@ def run_experiment(spec):
         softs = [soft_accuracy(res.posteriors, truth)[0] for res in runs]
         iterations = max(res.iterations for res in runs)
 
-    if objs is None:
-        objs = [cond_objective(X, labels, fam) for labels in assignments]
+    objs = [cond_objective(X, labels, fam) for labels in assignments]
     accs = [matched_accuracy(labels, truth)[0] for labels in assignments]
     seconds = time.perf_counter() - start
     record = ResultRecord(

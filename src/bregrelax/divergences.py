@@ -9,7 +9,10 @@ f_inv = grad of the convex conjugate maps back, and the two divergences
 
 satisfy D_F(x, y) = D_F*(f(y), f(x)).  Two families ship: ``euclidean``
 (F = x^2/2, transfer = identity) and ``bernoulli`` (F = x log x +
-(1-x) log(1-x), transfer = logit, conjugate = softplus).
+(1-x) log(1-x), transfer = logit, conjugate = softplus).  The primal
+divergence (summed or per row) and the dual one share one entrywise
+kernel; ``pairwise_divergence`` expands it for every pair of rows.  No
+other module evaluates a divergence or knows a family's domain.
 """
 
 import numpy as np
@@ -30,37 +33,13 @@ class DomainError(ValueError):
         )
 
 
-class DivergenceFamily:
-    """Base class; subclasses supply the potential, transfer and conjugate."""
+class EuclideanFamily:
+    """F(x) = x^2 / 2 on all of R; self-conjugate, transfer is the identity.
 
-    name = None
-
-    def check_domain(self, x):
-        """Validate and return ``x`` as a float array inside the open domain."""
-        raise NotImplementedError
-
-    def potential(self, x):
-        raise NotImplementedError
-
-    def transfer(self, x):
-        raise NotImplementedError
-
-    def inverse_transfer(self, z):
-        raise NotImplementedError
-
-    def conjugate(self, z):
-        raise NotImplementedError
-
-    def transfer_derivative(self, x):
-        """f'(x) = F''(x), used by second-argument gradients of D_F."""
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
-
-class EuclideanFamily(DivergenceFamily):
-    """F(x) = x^2 / 2 on all of R; self-conjugate, transfer is the identity."""
+    Each family gives ``check_domain`` (validate into the open domain),
+    ``clamp`` (pull a computed mean such as M X back into it), F, f, f_inv,
+    F* and ``transfer_derivative`` f' = F''.
+    """
 
     name = "euclidean"
 
@@ -71,23 +50,23 @@ class EuclideanFamily(DivergenceFamily):
             raise DomainError(self.name, idx, x.ravel()[idx])
         return x
 
+    def clamp(self, y):
+        return y
+
     def potential(self, x):
         return 0.5 * np.square(x)
 
     def transfer(self, x):
         return np.asarray(x, dtype=float)
 
-    def inverse_transfer(self, z):
-        return np.asarray(z, dtype=float)
-
-    def conjugate(self, z):
-        return 0.5 * np.square(z)
+    conjugate = potential
+    inverse_transfer = transfer
 
     def transfer_derivative(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
 
 
-class BernoulliFamily(DivergenceFamily):
+class BernoulliFamily:
     """F(x) = x log x + (1-x) log(1-x) on (0, 1).
 
     The transfer is the logit, its inverse the sigmoid, and the conjugate
@@ -102,7 +81,11 @@ class BernoulliFamily(DivergenceFamily):
         if np.any(bad):
             idx = int(np.flatnonzero(bad.ravel())[0])
             raise DomainError(self.name, idx, x.ravel()[idx])
-        return np.clip(x, BERNOULLI_CLIP, 1.0 - BERNOULLI_CLIP)
+        return self.clamp(x)
+
+    def clamp(self, y):
+        # on 0/1 data, projection roundoff pushes M X past 1; log1p(-y) needs y < 1
+        return np.clip(y, BERNOULLI_CLIP, 1.0 - BERNOULLI_CLIP)
 
     def potential(self, x):
         return x * np.log(x) + (1.0 - x) * np.log1p(-x)
@@ -138,7 +121,7 @@ def family(name):
     Passing a family instance through is allowed, so call sites can accept
     either form.
     """
-    if isinstance(name, DivergenceFamily):
+    if isinstance(name, (EuclideanFamily, BernoulliFamily)):
         return name
     try:
         return _FAMILIES[name]
@@ -146,6 +129,11 @@ def family(name):
         raise ValueError(
             f"unknown divergence family {name!r}; known: {sorted(_FAMILIES)}"
         ) from None
+
+
+def _bregman_terms(G, g, a, b):
+    """Entrywise G(a) - G(b) - (a - b) g(b): the one Bregman kernel."""
+    return G(a) - G(b) - (a - b) * g(b)
 
 
 def divergence(fam, x, y):
@@ -158,8 +146,13 @@ def divergence(fam, x, y):
     y = fam.check_domain(y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    val = np.sum(fam.potential(x) - fam.potential(y) - (x - y) * fam.transfer(y))
+    val = np.sum(_bregman_terms(fam.potential, fam.transfer, x, y))
     return max(float(val), 0.0)
+
+
+def row_divergence(fam, X, Y):
+    """Per-row D_F(X_i, Y_i) of in-domain arrays, without revalidation (hot path)."""
+    return np.sum(_bregman_terms(fam.potential, fam.transfer, X, Y), axis=1)
 
 
 def conjugate_divergence(fam, A, B):
@@ -169,17 +162,16 @@ def conjugate_divergence(fam, A, B):
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    val = np.sum(
-        fam.conjugate(A) - fam.conjugate(B) - (A - B) * fam.inverse_transfer(B)
-    )
+    val = np.sum(_bregman_terms(fam.conjugate, fam.inverse_transfer, A, B))
     return max(float(val), 0.0)
 
 
 def pairwise_divergence(fam, X, C):
     """Matrix of D_F(X[i], C[j]) for all data rows i and center rows j.
 
-    Used by the alternating baselines and posterior computations; returns a
-    (t, k) array for X of shape (t, n) and C of shape (k, n).
+    The cost of Lloyd's loop and of ``cond_objective``, and the likelihood
+    of the mixture posteriors; returns a (t, k) array for X of shape (t, n)
+    and C of shape (k, n).
     """
     fam = family(fam)
     X = fam.check_domain(X)

@@ -28,7 +28,6 @@ from scipy.special import logsumexp
 from .clusternorm import recover_equivalence
 from .divergences import (
     conjugate_divergence,
-    divergence,
     family,
     logsumexp_value_grad,
     pairwise_divergence,
@@ -100,13 +99,18 @@ class RelaxationSolution:
 
 
 def cond_objective(X, labels, fam="euclidean"):
-    """sum_i D_F(x_i, mean of x_i's cluster) for a hard clustering."""
+    """sum_i D_F(x_i, mean of x_i's cluster) for a hard clustering.
+
+    Reads Lloyd's cost matrix (``pairwise_divergence``) at the labels, so a
+    ``hard_reopt`` objective equals it bit for bit.
+    """
     fam = family(fam)
     X = fam.check_domain(X)
     labels = np.asarray(labels).astype(int).ravel()
-    d = int(labels.max()) + 1
-    centers, _ = cluster_means(X, labels, d)
-    return float(divergence(fam, X, centers[labels]))
+    if labels.shape[0] != X.shape[0] or labels.min() < 0:
+        raise ValueError(f"need {X.shape[0]} nonnegative labels, one per point")
+    centers, _ = cluster_means(X, labels, int(labels.max()) + 1)
+    return float(pairwise_divergence(fam, X, centers)[np.arange(X.shape[0]), labels].sum())
 
 
 def solve_cond_jc(X, config):

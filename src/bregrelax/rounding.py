@@ -210,13 +210,16 @@ def spectral_round(M, d, restarts=10, rng=None, embedding=None):
     """Round a relaxed equivalence matrix to d clusters.
 
     Embeds with the top eigenvectors, normalizes rows, and keeps the best
-    of ``restarts`` k-means runs by inertia.  Pass ``embedding`` to reuse a
-    precomputed embedding across calls.
+    of ``restarts`` k-means runs by inertia (at least one; fewer raise
+    ValueError).  Pass ``embedding`` to reuse a precomputed embedding
+    across calls.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(rng)
     V = spectral_embedding(M, d) if embedding is None else embedding
     best = None
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         labels, centers, inertia = kmeans(V, d, rng)
         if best is None or inertia < best.objective:
             best = ClusteringResult(
@@ -229,11 +232,14 @@ def matched_accuracy(pred, truth):
     """Fraction of points whose cluster maps to their class under the best
     one-to-one matching (rectangular case handled by leaving extras
     unmatched).  Returns (accuracy, matching dict cluster -> class).
+    Negative labels raise ValueError.
     """
     pred = np.asarray(pred, dtype=int).ravel()
     truth = np.asarray(truth, dtype=int).ravel()
     if pred.shape != truth.shape:
         raise ValueError("prediction and truth must have equal length")
+    if pred.min() < 0:
+        raise ValueError("cluster labels must be nonnegative")
     return soft_accuracy(np.eye(pred.max() + 1)[pred], truth)
 
 
@@ -243,11 +249,14 @@ def soft_accuracy(posteriors, truth):
     Credit for point i under matching pi is its posterior mass on
     pi(class_i); the matching maximizes the total credit.  Returns
     (value, matching dict cluster -> class) like ``matched_accuracy``.
+    Negative class labels raise ValueError.
     """
     P = np.asarray(posteriors, dtype=float)
     truth = np.asarray(truth, dtype=int).ravel()
     if P.shape[0] != truth.shape[0]:
         raise ValueError("posterior rows must match number of points")
+    if truth.min() < 0:
+        raise ValueError("class labels must be nonnegative")
     sums = P.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-8:
         raise ValueError("posterior rows must sum to one")

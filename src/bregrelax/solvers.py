@@ -28,7 +28,7 @@ import numpy as np
 import scipy.optimize
 
 from .clusternorm import cluster_norm, cluster_norm_dual, cluster_norm_dual_subgradient
-from .divergences import BERNOULLI_CLIP, family
+from .divergences import family, row_divergence
 from .geometry import project_rowsum, simplex_project_rows
 
 
@@ -282,19 +282,10 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000):
     )
 
 
-def _primal_rows(fam, X, Y):
-    """Per-row D_F(X_i, Y_i) without revalidation (hot path)."""
-    pot = fam.potential
-    return np.sum(pot(X) - pot(Y) - (X - Y) * fam.transfer(Y), axis=1)
-
-
 def rowwise_objective(fam, X, M):
-    """D_F(X, M X) for a row-stochastic M, with domain clamping."""
+    """D_F(X, M X) for a row-stochastic M; the family's ``clamp`` keeps M X in its domain."""
     fam = family(fam)
-    Y = M @ X
-    if fam.name == "bernoulli":
-        Y = np.clip(Y, BERNOULLI_CLIP, 1.0 - BERNOULLI_CLIP)
-    vals = _primal_rows(fam, X, Y)
+    vals = row_divergence(fam, X, fam.clamp(M @ X))
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise SolverDivergence(f"non-finite objective at row {bad}", iterate=M)
@@ -322,21 +313,13 @@ def _admm_rows_pg(fam, X, M, anchors, mu, lip, eta):
     inexact row step is from an exact one (Boyd et al., 2011, section
     3.4.4), and ``admm_solve`` counts it in its stop test.
     """
-    clip = fam.name == "bernoulli"
-
-    def predict(B):
-        Y = B @ X
-        if clip:
-            Y = np.clip(Y, BERNOULLI_CLIP, 1.0 - BERNOULLI_CLIP)
-        return Y
-
     def row_values(B, rows):
-        loss = _primal_rows(fam, X[rows], predict(B))
+        loss = row_divergence(fam, X[rows], fam.clamp(B @ X))
         prox = 0.5 * np.sum((B - anchors[rows]) ** 2, axis=1) / mu
         return loss + prox
 
     def loss_grads(B):
-        Y = predict(B)
+        Y = fam.clamp(B @ X)
         return ((Y - X) * fam.transfer_derivative(Y)) @ X.T
 
     t = M.shape[0]

@@ -260,11 +260,7 @@ def test_score_reproduces_run_experiment_statistics(tmp_path, model, transfer):
                               label_column="label")
     assert stats["repeats"] == 4
     assert (stats["acc_mean"], stats["acc_std"]) == (rec.acc_mean, rec.acc_std)
-    objs = (stats["obj_mean"], stats["obj_std"])
-    if model == "alt-hard":  # Lloyd's own objective, equal to cond_objective up to rounding
-        assert objs == pytest.approx((rec.obj_mean, rec.obj_std), rel=1e-12)
-    else:
-        assert objs == (rec.obj_mean, rec.obj_std)
+    assert (stats["obj_mean"], stats["obj_std"]) == (rec.obj_mean, rec.obj_std)
 
 
 def test_run_grid_isolates_failures(tmp_path):

@@ -108,6 +108,15 @@ def test_cond_objective_duplicate_pairs_zero():
     assert cond_objective(X, [0, 0, 1, 1]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_cond_objective_rejects_negative_or_missing_labels():
+    # a label of -1 would read the last cluster's mean, and a single label
+    # would broadcast to every point
+    X = np.array([[0.0], [0.0], [1.0], [1.0]])
+    for labels in ([0, 0, 1, -1], [0]):
+        with pytest.raises(ValueError, match="nonnegative labels"):
+            cond_objective(X, labels)
+
+
 def test_cond_objective_scalar_split():
     X = np.array([[0.0], [0.0], [1.0], [1.0]])
     assert cond_objective(X, [0, 0, 1, 1]) == pytest.approx(0.0, abs=1e-12)

@@ -96,6 +96,12 @@ def test_matched_accuracy_length_mismatch():
         matched_accuracy([0, 1], [0, 1, 1])
 
 
+def test_matched_accuracy_rejects_negative_labels():
+    # a one-hot row of -1 would be read as the last cluster
+    with pytest.raises(ValueError, match="nonnegative"):
+        matched_accuracy([0, 1, -1, 1], [0, 1, 2, 1])
+
+
 # -------------------------------------------------------------- soft accuracy
 
 
@@ -143,6 +149,14 @@ def test_soft_accuracy_row_sum_validation(rng):
         soft_accuracy(P, np.zeros(5, dtype=int))
     with pytest.raises(ValueError, match="rows"):
         soft_accuracy(np.full((4, 2), 0.5), np.zeros(5, dtype=int))
+
+
+def test_soft_accuracy_rejects_negative_truth():
+    P = np.full((4, 2), 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        soft_accuracy(P, [0, 1, -1, 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        matched_accuracy([0, 1, 0, 1], [0, 1, -1, 1])
 
 
 # -------------------------------------------------------------------- k-means
@@ -230,6 +244,19 @@ def test_hard_reopt_objective_reproducible(rng):
     )
 
 
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_hard_reopt_objective_is_cond_objective_bit_for_bit(fam_name):
+    # Lloyd records the cost cond_objective reads, so the two agree exactly
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        if fam_name == "euclidean":
+            X = rng.normal(size=(30, 4))
+        else:
+            X = rng.uniform(0.05, 0.95, size=(30, 4))
+        res = hard_reopt(X, rng.integers(0, 3, size=30), fam_name, d=3)
+        assert cond_objective(X, res.labels, fam_name) == res.objective
+
+
 def test_hard_reopt_label_validation(rng):
     X = rng.normal(size=(5, 2))
     with pytest.raises(ValueError, match="entries"):
@@ -294,6 +321,12 @@ def test_spectral_round_exact_partition(rng):
     M = equivalence_of(labels, 2)
     res = spectral_round(M, 2, rng=rng)
     assert matched_accuracy(res.labels, labels)[0] == 1.0
+
+
+def test_spectral_round_rejects_zero_restarts(rng):
+    M = equivalence_of(np.arange(6) % 2, 2)
+    with pytest.raises(ValueError, match="restarts"):
+        spectral_round(M, 2, restarts=0, rng=rng)
 
 
 def test_spectral_round_uninformative_matrix_warns(rng):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,18 @@ def test_admm_bernoulli_instance(rng):
     assert res.converged
     assert np.isfinite(res.objective)
     assert np.all(res.M >= 0.0)
+
+
+def test_admm_bernoulli_clamps_predictions_on_binary_data():
+    # on 0/1 data, projection roundoff pushes M X past 1, where the
+    # bernoulli potential's log1p(-y) is undefined; the family clamps it
+    X = (np.random.default_rng(0).random((20, 5)) < 0.3).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = admm_solve(X, 2, "bernoulli", max_iter=30)
+    assert np.isfinite(res.objective)
+    assert np.isfinite(res.primal_residual) and np.isfinite(res.dual_residual)
+    assert all(np.isfinite(entry["defect"]) for entry in res.trace)
 
 
 def test_admm_trace_records_residuals(rng):
