@@ -420,7 +420,7 @@ def write_cell_files(out_dir, cell, assignments=None, trace=None):
     if assignments is not None:
         with open(out_dir / f"{cell}_assignments.csv", "w", newline="\n") as fh:
             for labels in assignments:
-                fh.write(",".join(str(int(v)) for v in labels) + "\n")
+                fh.write(",".join(map(str, np.asarray(labels, dtype=int).tolist())) + "\n")
     if trace is not None:
         with open(out_dir / f"{cell}_trace.jsonl", "w", newline="\n") as fh:
             for entry in trace:

@@ -11,8 +11,11 @@ satisfy D_F(x, y) = D_F*(f(y), f(x)).  Two families ship: ``euclidean``
 (F = x^2/2, transfer = identity) and ``bernoulli`` (F = x log x +
 (1-x) log(1-x), transfer = logit, conjugate = softplus).  The primal
 divergence (summed or per row) and the dual one share one entrywise
-kernel; ``pairwise_divergence`` expands it for every pair of rows.  No
-other module evaluates a divergence or knows a family's domain.
+kernel; ``pairwise_cost`` expands it for every pair of rows.  It sums the
+data's potential once, so hot loops (Lloyd, EM) build it once per dataset
+and call it with each sweep's centers; ``pairwise_divergence`` is its
+one-shot form.  No other module evaluates a divergence or knows a
+family's domain.
 """
 
 import numpy as np
@@ -166,26 +169,39 @@ def conjugate_divergence(fam, A, B):
     return max(float(val), 0.0)
 
 
-def pairwise_divergence(fam, X, C):
-    """Matrix of D_F(X[i], C[j]) for all data rows i and center rows j.
+def pairwise_cost(fam, X):
+    """The cost C -> matrix of D_F(X[i], C[j]) over data rows i, center rows j.
 
-    The cost of Lloyd's loop and of ``cond_objective``, and the likelihood
-    of the mixture posteriors; returns a (t, k) array for X of shape (t, n)
-    and C of shape (k, n).
+    Validates X and sums its potential once; each call validates C and
+    does only the work that depends on the centers.  For X of shape (t, n)
+    and C of shape (k, n) the cost is a (t, k) array.
     """
     fam = family(fam)
     X = fam.check_domain(X)
-    C = fam.check_domain(C)
-    if X.ndim != 2 or C.ndim != 2 or X.shape[1] != C.shape[1]:
-        raise ValueError(f"incompatible shapes: {X.shape} vs {C.shape}")
+    if X.ndim != 2:
+        raise ValueError(f"data must be a 2-d array, got shape {X.shape}")
     fx = np.sum(fam.potential(X), axis=1)  # (t,)
-    fc = np.sum(fam.potential(C), axis=1)  # (k,)
-    tc = fam.transfer(C)  # (k, n)
-    # D[i, j] = fx[i] - fc[j] - <X[i] - C[j], f(C[j])>
-    cross = X @ tc.T  # (t, k)
-    own = np.sum(C * tc, axis=1)  # (k,)
-    D = fx[:, None] - fc[None, :] - cross + own[None, :]
-    return np.maximum(D, 0.0)
+
+    def cost(C):
+        C = fam.check_domain(C)
+        if C.ndim != 2 or X.shape[1] != C.shape[1]:
+            raise ValueError(f"incompatible shapes: {X.shape} vs {C.shape}")
+        fc = np.sum(fam.potential(C), axis=1)  # (k,)
+        tc = fam.transfer(C)  # (k, n)
+        # D[i, j] = fx[i] - fc[j] - <X[i] - C[j], f(C[j])>
+        cross = X @ tc.T  # (t, k)
+        own = np.sum(C * tc, axis=1)  # (k,)
+        return np.maximum(fx[:, None] - fc[None, :] - cross + own[None, :], 0.0)
+
+    return cost
+
+
+def pairwise_divergence(fam, X, C):
+    """Matrix of D_F(X[i], C[j]): ``pairwise_cost(fam, X)(C)``.
+
+    The cost of ``cond_objective`` and of the scorer's posteriors.
+    """
+    return pairwise_cost(fam, X)(C)
 
 
 def logsumexp_value_grad(w):

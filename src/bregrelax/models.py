@@ -30,6 +30,7 @@ from .divergences import (
     conjugate_divergence,
     family,
     logsumexp_value_grad,
+    pairwise_cost,
     pairwise_divergence,
 )
 from .rounding import cluster_means, hard_reopt
@@ -395,7 +396,8 @@ class SoftEmResult:
     trace: list = field(default_factory=list)
 
 
-def _em_once(X, d, fam, rng, max_iter=300, tol=1e-9):
+def _em_once(X, d, cost, rng, max_iter=300, tol=1e-9):
+    """One EM run from d random data rows; ``cost`` is ``pairwise_cost(fam, X)``."""
     t = X.shape[0]
     centers = X[rng.choice(t, size=d, replace=False)].copy()
     logq = np.full(d, -np.log(d))
@@ -404,7 +406,7 @@ def _em_once(X, d, fam, rng, max_iter=300, tol=1e-9):
     P = np.full((t, d), 1.0 / d)
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        S = logq[None, :] - pairwise_divergence(fam, X, centers)
+        S = logq[None, :] - cost(centers)
         lse = logsumexp(S, axis=1)
         ll = float(lse.sum())
         P = np.exp(S - lse[:, None])
@@ -429,8 +431,9 @@ def _em_once(X, d, fam, rng, max_iter=300, tol=1e-9):
 def soft_em_restarts(X, config):
     fam = family(config.family)
     X = fam.check_domain(X)
+    cost = pairwise_cost(fam, X)
     return [
-        _em_once(X, config.d, fam, derived_rng(config.seed, 1, r))
+        _em_once(X, config.d, cost, derived_rng(config.seed, 1, r))
         for r in range(config.restarts)
     ]
 

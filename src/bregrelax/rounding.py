@@ -20,7 +20,7 @@ import numpy as np
 import scipy.optimize
 from scipy.special import logsumexp
 
-from .divergences import family, pairwise_divergence
+from .divergences import family, pairwise_cost, pairwise_divergence
 
 # Eigenvalues below RANK_RTOL * (largest eigenvalue) are treated as zero.
 RANK_RTOL = 1e-9
@@ -86,8 +86,11 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
     Bregman divergence sum, so without priors the trace never increases.  A
     cluster left empty takes the point farthest from its own center.  Stops
     at a fixed point or after ``max_iter`` sweeps; the returned centers,
-    weights and objective belong to the returned labels.
+    weights and objective belong to the returned labels.  The data half of
+    the cost (``pairwise_cost``) is built once per call.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     fam = family(fam)
     X = fam.check_domain(X)
     labels = np.asarray(labels0, dtype=int).ravel().copy()
@@ -99,11 +102,12 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
     d = max(int(labels.max()) + 1, d or 0)
     labels = _fill_empty(X, labels, cluster_means(X, labels, d)[0], fam)
     rows = np.arange(t)
+    cost_of = pairwise_cost(fam, X)
     weights = None
     trace = []
     for iteration in range(1, max_iter + 1):
         centers, counts = cluster_means(X, labels, d)
-        cost = pairwise_divergence(fam, X, centers)
+        cost = cost_of(centers)
         objective = 0.0
         if log_prior:
             weights = np.log(counts / t)
@@ -249,7 +253,8 @@ def soft_accuracy(posteriors, truth):
     Credit for point i under matching pi is its posterior mass on
     pi(class_i); the matching maximizes the total credit.  Returns
     (value, matching dict cluster -> class) like ``matched_accuracy``.
-    Negative class labels raise ValueError.
+    Negative class labels, negative posterior entries and rows that do not
+    sum to one raise ValueError.
     """
     P = np.asarray(posteriors, dtype=float)
     truth = np.asarray(truth, dtype=int).ravel()
@@ -260,6 +265,8 @@ def soft_accuracy(posteriors, truth):
     sums = P.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-8:
         raise ValueError("posterior rows must sum to one")
+    if P.min() < 0.0:
+        raise ValueError("posterior entries must be nonnegative")
     table = P.T @ np.eye(truth.max() + 1)[truth]
     rows, cols = scipy.optimize.linear_sum_assignment(table, maximize=True)
     matching = {int(r): int(cc) for r, cc in zip(rows, cols)}

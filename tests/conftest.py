@@ -8,6 +8,9 @@ equivalence matrices (``indicator``, ``equivalence_from_assignment``),
 the range-checked quadratic form tr(T' M^+ T) (``pinv_quadratic_form``,
 raising ``RangeError``) and the one-row simplex projection
 (``simplex_project``) live here too: the package itself never needs them.
+So do the sweep-by-sweep Lloyd and EM loops (``lloyd_reference``,
+``em_reference``), which evaluate ``pairwise_divergence`` from scratch in
+every sweep where the package builds the data half of the cost once.
 """
 
 import itertools
@@ -15,8 +18,10 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import logsumexp
 
-from bregrelax import SmoothProblem, cond_objective
+from bregrelax import SmoothProblem, cond_objective, family, pairwise_divergence
+from bregrelax.rounding import _fill_empty, cluster_means
 
 
 @pytest.fixture
@@ -189,6 +194,64 @@ def quadratic_loss(C, calls=None):
         return phi
 
     return SmoothProblem(shape=C.shape, value_and_grad=value_and_grad, segment=segment)
+
+
+def lloyd_reference(X, labels0, fam, max_iter, d, log_prior=False):
+    """Lloyd's loop with the full ``pairwise_divergence`` in every sweep.
+
+    Returns (labels, centers, weights, trace, iterations).
+    """
+    fam = family(fam)
+    X = fam.check_domain(X)
+    labels = np.asarray(labels0, dtype=int).copy()
+    t = X.shape[0]
+    labels = _fill_empty(X, labels, cluster_means(X, labels, d)[0], fam)
+    weights = None
+    trace = []
+    for iteration in range(1, max_iter + 1):
+        centers, counts = cluster_means(X, labels, d)
+        cost = pairwise_divergence(fam, X, centers)
+        objective = 0.0
+        if log_prior:
+            weights = np.log(counts / t)
+            cost = cost - weights[None, :]
+            objective = t * logsumexp(weights)
+        trace.append(float(objective + cost[np.arange(t), labels].sum()))
+        if iteration == max_iter:
+            break
+        new_labels = _fill_empty(X, cost.argmin(axis=1), centers, fam)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels, centers, weights, trace, iteration
+
+
+def em_reference(X, d, fam, rng, max_iter=300, tol=1e-9):
+    """Mixture EM with the full ``pairwise_divergence`` in every sweep.
+
+    Returns (posteriors, weights, centers, trace, iterations).
+    """
+    fam = family(fam)
+    X = fam.check_domain(X)
+    t = X.shape[0]
+    centers = X[rng.choice(t, size=d, replace=False)].copy()
+    logq = np.full(d, -np.log(d))
+    prev = -np.inf
+    trace = []
+    for iteration in range(1, max_iter + 1):
+        S = logq[None, :] - pairwise_divergence(fam, X, centers)
+        lse = logsumexp(S, axis=1)
+        ll = float(lse.sum())
+        P = np.exp(S - lse[:, None])
+        trace.append(ll)
+        if ll - prev < tol * (1.0 + abs(ll)) and iteration > 1:
+            break
+        prev = ll
+        mass = P.sum(axis=0)
+        logq = np.log(np.maximum(mass, 1e-300)) - np.log(t)
+        nz = mass > 1e-12
+        centers[nz] = (P.T @ X)[nz] / mass[nz, None]
+    return P, np.exp(logq), centers, trace, iteration
 
 
 def planted_euclidean(t, d, rng, sep=6.0, noise=0.5):

@@ -26,7 +26,7 @@ from bregrelax import (
     score_assignments,
     stratified_subsample,
 )
-from bregrelax.bench import prepare, transfer_family
+from bregrelax.bench import prepare, transfer_family, write_cell_files
 from bregrelax.cli import KNOBS, _bench_grid, build_parser, main, read_config
 
 from conftest import planted_euclidean
@@ -316,6 +316,14 @@ def _fake_record(**kw):
                 obj_mean=160.0, obj_std=4.0, acc_mean=0.847, acc_std=0.088)
     base.update(kw)
     return ResultRecord(**base)
+
+
+def test_write_cell_files_label_rows_keep_their_bytes(tmp_path):
+    rows = [np.array([0, 1, 2, 1]), [3, 0, 12], np.array([10, 105, 7], dtype=np.int64)]
+    write_cell_files(tmp_path, "cell", rows)
+    old_format = "".join(",".join(str(int(v)) for v in r) + "\n" for r in rows)
+    written = (tmp_path / "cell_assignments.csv").read_bytes()
+    assert written == old_format.encode() == b"0,1,2,1\n3,0,12\n10,105,7\n"
 
 
 def test_emit_table_empty_is_header_only(tmp_path):

@@ -9,7 +9,7 @@ from bregrelax import (
     family,
     pairwise_divergence,
 )
-from bregrelax.divergences import logsumexp_value_grad
+from bregrelax.divergences import logsumexp_value_grad, pairwise_cost
 from bregrelax.models import _cond_problem
 
 from conftest import finite_difference_gradient
@@ -189,6 +189,26 @@ def test_pairwise_divergence_matches_loops(rng):
     for i in range(5):
         for j in range(2):
             assert D[i, j] == pytest.approx(divergence("bernoulli", X[i], C[j]), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["euclidean", "bernoulli"])
+def test_pairwise_cost_is_pairwise_divergence_bit_for_bit(rng, name):
+    draw = rng.normal if name == "euclidean" else lambda size: rng.uniform(0.02, 0.98, size)
+    X = draw(size=(40, 6))
+    cost = pairwise_cost(name, X)
+    for k in (1, 3, 5):
+        C = draw(size=(k, 6))
+        assert np.array_equal(cost(C), pairwise_divergence(name, X, C))
+
+
+def test_pairwise_cost_validates_every_center_matrix(rng):
+    cost = pairwise_cost("bernoulli", rng.uniform(0.1, 0.9, size=(5, 3)))
+    with pytest.raises(DomainError):
+        cost(np.array([[0.5, 1.5, 0.5]]))
+    with pytest.raises(ValueError, match="incompatible"):
+        cost(np.full((2, 4), 0.5))
+    with pytest.raises(ValueError, match="2-d"):
+        pairwise_cost("euclidean", np.zeros(3))
 
 
 def test_logsumexp_value_grad_stability():

@@ -14,6 +14,7 @@ from bregrelax import (
     conjugate_divergence,
     derived_rng,
     family,
+    hard_reopt,
     joint_hard_reopt,
     matched_accuracy,
     rowwise_objective,
@@ -26,15 +27,19 @@ from bregrelax import (
     spectral_round,
 )
 from bregrelax import bench, models
+from bregrelax.divergences import pairwise_cost
 from bregrelax.models import (
     _cond_problem,
     _disc_problem,
     _disc_terms,
+    _em_once,
     _joint_problem,
     _joint_terms,
+    soft_em_restarts,
 )
 
 from conftest import (
+    em_reference,
     equivalence_from_assignment,
     exhaustive_hard_optimum,
     finite_difference_gradient,
@@ -545,6 +550,46 @@ def test_soft_em_monotone_and_calibrated(rng):
     assert np.allclose(res.posteriors.sum(axis=1), 1.0, atol=1e-10)
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-8)
     assert matched_accuracy(res.posteriors.argmax(axis=1), truth)[0] == 1.0
+
+
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_baselines_sum_the_data_potential_once_per_call(monkeypatch, fam_name):
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.05, 0.95, size=(60, 4))
+    labels0 = rng.integers(0, 3, size=60)
+    fam = family(fam_name)
+    data_calls = []
+    potential = fam.potential
+
+    def counting(x):
+        data_calls.append(np.shape(x) == X.shape)
+        return potential(x)
+
+    monkeypatch.setattr(fam, "potential", counting)
+    res = hard_reopt(X, labels0, fam_name, d=3)
+    assert res.iterations >= 3
+    assert sum(data_calls) == 1
+    data_calls.clear()
+    runs = soft_em_restarts(X, ModelConfig(d=3, restarts=3, seed=4, family=fam_name))
+    assert len(runs) == 3 and sum(r.iterations for r in runs) >= 6
+    assert sum(data_calls) == 1
+
+
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_em_matches_the_per_sweep_oracle_bit_for_bit(fam_name):
+    X = np.random.default_rng(11).uniform(0.02, 0.98, size=(45, 4))
+    cost = pairwise_cost(fam_name, X)
+    for seed in range(6):
+        for max_iter in (2, 300):
+            res = _em_once(X, 3, cost, np.random.default_rng(seed), max_iter)
+            P, weights, centers, trace, iterations = em_reference(
+                X, 3, fam_name, np.random.default_rng(seed), max_iter
+            )
+            assert np.array_equal(res.posteriors, P)
+            assert np.array_equal(res.weights, weights)
+            assert np.array_equal(res.centers, centers)
+            assert res.trace == trace and res.loglik == trace[-1]
+            assert res.iterations == iterations
 
 
 def test_models_tuple_is_public():

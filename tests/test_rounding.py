@@ -21,9 +21,14 @@ from bregrelax import (
     spectral_embedding,
     spectral_round,
 )
-from bregrelax.rounding import cluster_means
+from bregrelax.rounding import cluster_means, lloyd
 
-from conftest import equivalence_from_assignment, exhaustive_hard_optimum, planted_euclidean
+from conftest import (
+    equivalence_from_assignment,
+    exhaustive_hard_optimum,
+    lloyd_reference,
+    planted_euclidean,
+)
 
 
 def equivalence_of(labels, d):
@@ -157,6 +162,12 @@ def test_soft_accuracy_rejects_negative_truth():
         soft_accuracy(P, [0, 1, -1, 1])
     with pytest.raises(ValueError, match="nonnegative"):
         matched_accuracy([0, 1, 0, 1], [0, 1, -1, 1])
+
+
+def test_soft_accuracy_rejects_negative_posterior_entries():
+    # rows sum to one, but negative mass would credit 2.0 to class 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        soft_accuracy([[2.0, -1.0], [2.0, -1.0]], [0, 0])
 
 
 # -------------------------------------------------------------------- k-means
@@ -295,6 +306,48 @@ def test_reopt_results_belong_to_returned_labels(rng):
         centers, counts = cluster_means(X, res.labels, 3)
         assert np.allclose(res.centers, centers)
         assert np.allclose(res.weights, np.log(counts / 20))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda X: hard_reopt(X, np.arange(10) % 2, max_iter=0),
+        lambda X: joint_hard_reopt(X, np.arange(10) % 2, max_iter=0),
+        lambda X: kmeans(X, 2, rng=0, max_iter=0),
+    ],
+    ids=["hard_reopt", "joint_hard_reopt", "kmeans"],
+)
+def test_lloyd_rejects_max_iter_below_one(rng, run):
+    with pytest.raises(ValueError, match="max_iter"):
+        run(rng.normal(size=(10, 2)))
+
+
+@pytest.mark.parametrize("log_prior", [False, True])
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_lloyd_matches_the_per_sweep_oracle_bit_for_bit(fam_name, log_prior):
+    # the cost built once per call must give what a fresh
+    # pairwise_divergence gives in every sweep, empty-cluster starts included
+    sweeps = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        if fam_name == "euclidean":
+            X = rng.normal(size=(40, 3))
+        else:
+            X = rng.uniform(0.02, 0.98, size=(40, 3))
+        labels0 = rng.integers(0, 3 if seed % 2 else 4, size=40)
+        for max_iter in (2, 200):
+            res = lloyd(X, labels0, fam_name, max_iter, 4, log_prior)
+            labels, centers, weights, trace, iterations = lloyd_reference(
+                X, labels0, fam_name, max_iter, 4, log_prior
+            )
+            assert np.array_equal(res.labels, labels)
+            assert np.array_equal(res.centers, centers)
+            assert np.array_equal(res.weights, weights)
+            assert res.trace == trace
+            assert res.objective == trace[-1]
+            assert res.iterations == iterations
+            sweeps += iterations
+    assert sweeps > 16 * 3  # most runs go several sweeps past the first
 
 
 # ---------------------------------------------------------- spectral rounding
