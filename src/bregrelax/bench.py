@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import softmax
 
 from .divergences import family, pairwise_divergence
 from .models import (
@@ -300,7 +299,8 @@ CSV_COLUMNS = tuple(
 
 def _joint_posteriors(X, result, fam):
     scores = result.weights[None, :] - pairwise_divergence(fam, X, result.centers)
-    return softmax(scores, axis=1)
+    e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
+    return e / np.sum(e, axis=1, keepdims=True)
 
 
 def load_prepared(path, transfer="linear", label_column=-1, delimiter=None, name=None,

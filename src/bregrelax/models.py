@@ -23,12 +23,12 @@ restart one ``rounding.hard_reopt`` run) and ``soft-em`` (mixture EM).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .clusternorm import recover_equivalence
 from .divergences import (
     conjugate_divergence,
     family,
+    logsumexp_rows,
     logsumexp_value_grad,
     pairwise_cost,
     pairwise_divergence,
@@ -211,7 +211,7 @@ def _disc_terms(Z0, tau):
     (P.sum(0) - 1) / t.
     """
     Z = Z0 + tau[None, :]
-    lse = logsumexp(Z, axis=1)
+    lse = logsumexp_rows(Z)
     P = np.exp(Z - lse[:, None])
     return (lse.sum() - np.trace(Z0) - tau.sum()) / Z0.shape[0], P
 
@@ -407,7 +407,7 @@ def _em_once(X, d, cost, rng, max_iter=300, tol=1e-9):
     iteration = 0
     for iteration in range(1, max_iter + 1):
         S = logq[None, :] - cost(centers)
-        lse = logsumexp(S, axis=1)
+        lse = logsumexp_rows(S)
         ll = float(lse.sum())
         P = np.exp(S - lse[:, None])
         trace.append(ll)

@@ -18,9 +18,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.optimize
-from scipy.special import logsumexp
 
-from .divergences import family, pairwise_cost, pairwise_divergence
+from .divergences import family, logsumexp_rows, pairwise_cost, pairwise_divergence
 
 # Eigenvalues below RANK_RTOL * (largest eigenvalue) are treated as zero.
 RANK_RTOL = 1e-9
@@ -112,7 +111,7 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
         if log_prior:
             weights = np.log(counts / t)
             cost = cost - weights[None, :]
-            objective = t * logsumexp(weights)
+            objective = t * logsumexp_rows(weights[None, :])[0]
         trace.append(float(objective + cost[rows, labels].sum()))
         if iteration == max_iter:
             break
@@ -236,12 +235,14 @@ def matched_accuracy(pred, truth):
     """Fraction of points whose cluster maps to their class under the best
     one-to-one matching (rectangular case handled by leaving extras
     unmatched).  Returns (accuracy, matching dict cluster -> class).
-    Negative labels raise ValueError.
+    No points or negative labels raise ValueError.
     """
     pred = np.asarray(pred, dtype=int).ravel()
     truth = np.asarray(truth, dtype=int).ravel()
     if pred.shape != truth.shape:
         raise ValueError("prediction and truth must have equal length")
+    if pred.size == 0:
+        raise ValueError("no points to score")
     if pred.min() < 0:
         raise ValueError("cluster labels must be nonnegative")
     return soft_accuracy(np.eye(pred.max() + 1)[pred], truth)
@@ -253,13 +254,17 @@ def soft_accuracy(posteriors, truth):
     Credit for point i under matching pi is its posterior mass on
     pi(class_i); the matching maximizes the total credit.  Returns
     (value, matching dict cluster -> class) like ``matched_accuracy``.
-    Negative class labels, negative posterior entries and rows that do not
-    sum to one raise ValueError.
+    No points, negative class labels, negative or non-finite posterior
+    entries and rows that do not sum to one raise ValueError.
     """
     P = np.asarray(posteriors, dtype=float)
     truth = np.asarray(truth, dtype=int).ravel()
     if P.shape[0] != truth.shape[0]:
         raise ValueError("posterior rows must match number of points")
+    if truth.size == 0:
+        raise ValueError("no points to score")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("posterior entries must be finite")
     if truth.min() < 0:
         raise ValueError("class labels must be nonnegative")
     sums = P.sum(axis=1)

@@ -10,7 +10,9 @@ raising ``RangeError``) and the one-row simplex projection
 (``simplex_project``) live here too: the package itself never needs them.
 So do the sweep-by-sweep Lloyd and EM loops (``lloyd_reference``,
 ``em_reference``), which evaluate ``pairwise_divergence`` from scratch in
-every sweep where the package builds the data half of the cost once.
+every sweep where the package builds the data half of the cost once, and
+``disc_terms_reference``; these three take their log-sum-exp from scipy
+where the package has its own.
 """
 
 import itertools
@@ -252,6 +254,14 @@ def em_reference(X, d, fam, rng, max_iter=300, tol=1e-9):
         nz = mass > 1e-12
         centers[nz] = (P.T @ X)[nz] / mass[nz, None]
     return P, np.exp(logq), centers, trace, iteration
+
+
+def disc_terms_reference(Z0, tau):
+    """``models._disc_terms`` on scipy's ``logsumexp``: (value, row softmax P)."""
+    Z = Z0 + tau[None, :]
+    lse = logsumexp(Z, axis=1)
+    P = np.exp(Z - lse[:, None])
+    return (lse.sum() - np.trace(Z0) - tau.sum()) / Z0.shape[0], P
 
 
 def planted_euclidean(t, d, rng, sep=6.0, noise=0.5):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from bregrelax import (
     BERNOULLI_CLIP,
@@ -9,7 +10,7 @@ from bregrelax import (
     family,
     pairwise_divergence,
 )
-from bregrelax.divergences import logsumexp_value_grad, pairwise_cost
+from bregrelax.divergences import logsumexp_rows, logsumexp_value_grad, pairwise_cost
 from bregrelax.models import _cond_problem
 
 from conftest import finite_difference_gradient
@@ -226,3 +227,41 @@ def test_logsumexp_value_grad_gradient(rng):
     fd = finite_difference_gradient(lambda v: logsumexp_value_grad(v)[0], w)
     assert grad.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(fd - grad) <= 1e-6 * (1.0 + np.linalg.norm(grad))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_logsumexp_rows_is_scipys_bit_for_bit(rng, d):
+    # d below and from 8 covers numpy's sequential and pairwise row sums
+    for scale in (1e-3, 1.0, 30.0, 1e4):
+        S = rng.normal(scale=scale, size=(50, d))
+        ties = np.round(S / scale) * scale  # several tied row maxima
+        for A in (S, ties, S[:1], np.asfortranarray(S)):
+            assert _same_bits(logsumexp_rows(A), logsumexp(A, axis=1))
+
+
+@pytest.mark.parametrize("d", [1, 3, 9])
+def test_logsumexp_rows_non_finite_rows_are_scipys(rng, d):
+    # a row with +inf, a row of -inf and a row with NaN take scipy's
+    # log(sum(exp(S))) fallback; the finite rows around them do not
+    S = rng.normal(size=(5, d))
+    S[1, 0] = np.inf
+    S[2] = -np.inf
+    S[3, -1] = np.nan
+    with np.errstate(all="ignore"):
+        want = logsumexp(S, axis=1)
+    got = logsumexp_rows(S)
+    assert _same_bits(got, want)
+    assert got[1] == np.inf and got[2] == -np.inf and np.isnan(got[3])
+    assert np.isfinite(got[[0, 4]]).all()
+
+
+def test_logsumexp_rows_one_row_is_the_vector_logsumexp(rng):
+    # Lloyd's log-prior term t * lse(w), with w = log(counts / t)
+    for w in (np.log(np.array([3.0, 5.0, 2.0]) / 10.0), rng.normal(scale=50.0, size=9)):
+        got = logsumexp_rows(w[None, :])
+        assert got.shape == (1,) and _same_bits(got[0], logsumexp(w))

@@ -39,6 +39,7 @@ from bregrelax.models import (
 )
 
 from conftest import (
+    disc_terms_reference,
     em_reference,
     equivalence_from_assignment,
     exhaustive_hard_optimum,
@@ -291,6 +292,21 @@ def test_solve_disc_planted_recovery(rng):
     recomputed = _disc_terms(X @ V.T / len(X), tau)[0] + 0.5 * 1e-4 * cluster_norm(V, 2) ** 2
     assert sol.objective == pytest.approx(recomputed, abs=1e-8)
     assert check_membership(sol.M, 2, "centered", tol=1e-8)
+
+
+@pytest.mark.parametrize("t", [5, 40])
+def test_disc_terms_match_the_scipy_oracle_bit_for_bit(rng, t):
+    # t = 5 and 40 put the score rows on both sides of numpy's pairwise
+    # summation threshold (8 entries)
+    X = family("bernoulli").inverse_transfer(planted_euclidean(t, 3, rng)[0])
+    for scale in (1.0, 30.0):
+        V = rng.normal(scale=scale, size=X.shape)
+        tau = rng.normal(size=t)
+        Z0 = X @ V.T / t
+        value, P = _disc_terms(Z0, tau)
+        want_value, want_P = disc_terms_reference(Z0, tau)
+        assert value == want_value
+        assert np.array_equal(P, want_P)
 
 
 # ----------------------------------------------------------------- joint

@@ -170,6 +170,23 @@ def test_soft_accuracy_rejects_negative_posterior_entries():
         soft_accuracy([[2.0, -1.0], [2.0, -1.0]], [0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_soft_accuracy_rejects_non_finite_posterior_entries(bad):
+    # a NaN row passes the row-sum check (NaN compares false), so it would
+    # reach the matching solver
+    P = np.full((3, 2), 0.5)
+    P[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        soft_accuracy(P, [0, 1, 0])
+
+
+def test_accuracies_reject_empty_inputs():
+    with pytest.raises(ValueError, match="no points"):
+        soft_accuracy(np.zeros((0, 2)), [])
+    with pytest.raises(ValueError, match="no points"):
+        matched_accuracy([], [])
+
+
 # -------------------------------------------------------------------- k-means
 
 
