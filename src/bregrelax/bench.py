@@ -15,6 +15,7 @@ so repeated runs are byte-identical.
 
 import csv
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -236,8 +237,10 @@ class ExperimentSpec:
             raise ValueError("disc model is defined for the sigmoid transfer only")
         if self.restarts is None:
             self.restarts = {"alt-hard": ModelConfig.restarts, "soft-em": 20}.get(self.model, 10)
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        for name, least in (("restarts", 1), ("clusters", 2), ("subsample", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     def cell_name(self):
         base = self.name or Path(self.dataset).stem
@@ -303,10 +306,8 @@ def _joint_posteriors(X, result, fam):
     return e / np.sum(e, axis=1, keepdims=True)
 
 
-def load_prepared(path, transfer="linear", label_column=-1, delimiter=None, name=None,
-                  subsample=None, seed=0):
-    """Load a dataset, subsample it (when ``subsample`` is set) and preprocess it."""
-    ds = load_dataset(path, label_column, delimiter, name)
+def _prepared(ds, transfer, subsample, seed):
+    """Subsample (when ``subsample`` is set) and preprocess copies of ``ds``."""
     if subsample:
         ds = stratified_subsample(ds, subsample, seed)
     return preprocess(ds, transfer)
@@ -316,14 +317,21 @@ def load_prepared(path, transfer="linear", label_column=-1, delimiter=None, name
 _SHARED_KNOBS = {f.name for f in fields(ModelConfig)} & {f.name for f in fields(ExperimentSpec)}
 
 
-def prepare(spec):
+def _parse_key(spec):
+    """The ``load_dataset`` arguments of a cell: cells sharing them share a parse."""
+    return spec.dataset, spec.label_column, spec.delimiter, spec.name
+
+
+def prepare(spec, parsed=None):
     """Load, subsample and preprocess a cell's dataset; build its ModelConfig.
 
-    Returns (dataset, config).  The cluster count defaults to the number
-    of classes, and the divergence family follows the transfer.
+    Returns (dataset, config).  ``parsed`` is the cell's parsed file, if
+    the caller has it.  The cluster count defaults to the number of
+    classes, and the divergence family follows the transfer.
     """
-    ds = load_prepared(spec.dataset, spec.transfer, spec.label_column, spec.delimiter,
-                       spec.name, spec.subsample, spec.seed)
+    if parsed is None:
+        parsed = load_dataset(*_parse_key(spec))
+    ds = _prepared(parsed, spec.transfer, spec.subsample, spec.seed)
     config = ModelConfig(
         d=spec.clusters or ds.n_classes,
         family=transfer_family(spec.transfer),
@@ -339,7 +347,7 @@ def _summary(**samples):
             for stat, reduce in (("mean", np.mean), ("std", np.std))}
 
 
-def run_experiment(spec):
+def run_experiment(spec, parsed=None):
     """Execute one benchmark cell and aggregate its repeats.
 
     Relaxation models: solve, then round `restarts` times with
@@ -349,8 +357,9 @@ def run_experiment(spec):
     ``score_assignments`` scores it, so ``score`` reproduces each statistic
     from the persisted assignments exactly.  For ``alt-hard`` that score is
     also Lloyd's own objective: ``cond_objective`` reads Lloyd's cost.
+    ``parsed`` is passed on to ``prepare``.
     """
-    ds, config = prepare(spec)
+    ds, config = prepare(spec, parsed)
     fam = family(config.family)
     d = config.d
     X, truth = ds.X, ds.labels
@@ -366,7 +375,7 @@ def run_experiment(spec):
         m_sha = hashlib.sha256(
             np.ascontiguousarray(solution.M, dtype=float).tobytes()
         ).hexdigest()
-        embedding = spectral_embedding(solution.M, d)
+        embedding = spectral_embedding(solution.M, d, solution.eigenpairs)
         assignments = []
         for r in range(spec.restarts):
             rounded = spectral_round(
@@ -463,8 +472,6 @@ def emit_table(records, fmt="csv", path=None):
 
 
 def _render_csv(records):
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -505,14 +512,17 @@ def _render_text(records):
 def run_grid(specs):
     """Run every cell, collecting failures without stopping the grid.
 
-    Returns (records, failures) where failures are (spec, message) pairs.
-    Results are order-independent: records carry their own sort keys.
+    Each file is parsed once for all cells that read it alike.  Returns
+    (records, failures) where failures are (spec, message) pairs.  Results
+    are order-independent: records carry their own sort keys.
     """
-    records = []
-    failures = []
+    records, failures, parsed = [], [], {}
     for s in specs:
+        key = _parse_key(s)
         try:
-            records.append(run_experiment(s))
+            if key not in parsed:
+                parsed[key] = load_dataset(*key)
+            records.append(run_experiment(s, parsed[key]))
         except Exception as exc:  # noqa: BLE001  (cell isolation)
             failures.append((s, f"{type(exc).__name__}: {exc}"))
     records.sort(key=lambda r: r.sort_key())
@@ -522,8 +532,7 @@ def run_grid(specs):
 def score_assignments(data_path, assignment_path, transfer="linear", label_column=-1,
                       delimiter=None, subsample=None, seed=0):
     """Recompute objective and accuracy statistics from persisted labels."""
-    ds = load_prepared(data_path, transfer, label_column, delimiter,
-                       subsample=subsample, seed=seed)
+    ds = _prepared(load_dataset(data_path, label_column, delimiter), transfer, subsample, seed)
     fam = transfer_family(transfer)
     rows = []
     with open(assignment_path) as fh:

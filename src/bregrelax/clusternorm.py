@@ -105,16 +105,28 @@ def cluster_norm_dual_subgradient(R, d):
     return (U[:, :r] * (top[:r] / scale)) @ Vt[:r]
 
 
-def recover_equivalence(T, d):
-    """Optimal relaxation matrix M paired with T at the squared-norm optimum.
+def equivalence_factor(T, d):
+    """(sigma, U) with ``recover_equivalence(T, d)`` = (U * sigma) @ U.T, None for T = 0.
 
-    The left singular vectors of T carry the water-filled eigenvalues, so
-    tr(T' M^+ T) equals the squared cluster norm and Im(T) lies within
-    Im(M).  Every such M is optimal for T = 0; the zero matrix is returned.
+    U is the left factor of T's thin SVD, sigma the water-filled spectrum.
     """
     T = np.asarray(T, dtype=float)
     if not np.any(T):
-        return np.zeros((T.shape[0], T.shape[0]))
+        return None
     U, s, _ = np.linalg.svd(T, full_matrices=False)
-    sigma = spectrum_waterfill(s, d).sigma[: s.size]
+    return spectrum_waterfill(s, d).sigma[: s.size], U
+
+
+def recover_equivalence(T, d):
+    """Optimal relaxation matrix M paired with T at the squared-norm optimum.
+
+    The left singular vectors of T carry the water-filled eigenvalues
+    (``equivalence_factor``), so tr(T' M^+ T) equals the squared cluster
+    norm and Im(T) lies within Im(M).  Every such M is optimal for T = 0;
+    the zero matrix is returned.
+    """
+    factor = equivalence_factor(T, d)
+    if factor is None:
+        return np.zeros((len(T), len(T)))
+    sigma, U = factor
     return (U * sigma) @ U.T

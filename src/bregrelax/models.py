@@ -21,10 +21,11 @@ restart one ``rounding.hard_reopt`` run) and ``soft-em`` (mixture EM).
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .clusternorm import recover_equivalence
+from .clusternorm import equivalence_factor, recover_equivalence
 from .divergences import (
     conjugate_divergence,
     family,
@@ -90,6 +91,10 @@ class ModelConfig:
 
 @dataclass
 class RelaxationSolution:
+    """A solved relaxation.  ``eigenpairs`` is (values, vectors) with M =
+    (vectors * values) @ vectors.T bit for bit (GCG: T's thin SVD), None
+    for ``cond-jc`` and for T = 0."""
+
     model: str
     M: np.ndarray
     objective: float
@@ -97,6 +102,7 @@ class RelaxationSolution:
     iterations: int
     trace: list = field(default_factory=list)
     auxiliaries: dict = field(default_factory=dict)
+    eigenpairs: Optional[tuple] = None
 
 
 def cond_objective(X, labels, fam="euclidean"):
@@ -189,6 +195,7 @@ def _gcg_solution(model, loss, weight, config, blocks):
         iterations=res.iterations,
         trace=res.trace,
         auxiliaries={**blocks(res.T), "norm": res.norm, "gap": res.gap},
+        eigenpairs=equivalence_factor(res.T, config.d),
     )
 
 

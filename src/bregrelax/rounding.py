@@ -2,14 +2,15 @@
 
 A relaxed equivalence matrix is turned into a hard clustering by embedding
 points with the top eigenvectors and running k-means on the normalized
-rows (``spectral_round``).  Hard clusterings are polished with alternating
-minimization (``hard_reopt``, or ``joint_hard_reopt`` with cluster
-log-priors) and scored against ground truth with a maximum-weight matching
-between clusters and classes (``soft_accuracy``; ``matched_accuracy`` is
-soft accuracy on one-hot labels).  k-means and both polishers are one Lloyd
-loop (``lloyd``): Lloyd's alternation is the same algorithm under every
-Bregman divergence (Banerjee et al., JMLR 2005), and k-means is its
-squared-euclidean case.
+rows (``spectral_round``); the eigenpairs are a GCG solution's own (from
+T's thin SVD), or ``eigh``'s of ``cond-jc``'s M.  Hard clusterings are
+polished with alternating minimization (``hard_reopt``, or
+``joint_hard_reopt`` with cluster log-priors) and scored against ground
+truth with a maximum-weight matching between clusters and classes
+(``soft_accuracy``; ``matched_accuracy`` is soft accuracy on one-hot
+labels).  k-means and both polishers are one Lloyd loop (``lloyd``):
+Lloyd's alternation is the same algorithm under every Bregman divergence
+(Banerjee et al., JMLR 2005), and k-means is its squared-euclidean case.
 """
 
 import warnings
@@ -181,18 +182,21 @@ def kmeans(X, k, rng=None, max_iter=300):
     return res.labels, res.centers, 2.0 * res.objective
 
 
-def spectral_embedding(M, d):
+def spectral_embedding(M, d, eigenpairs=None):
     """Top-d eigenvector embedding of M with unit-normalized rows.
 
-    Only eigenvalues above the relative rank cutoff contribute; if fewer
-    than d survive, the embedding proceeds with the available dimensions
-    and a warning.  Zero rows stay zero.
+    The eigenpairs (values, vectors) are ``eigenpairs`` when given (a GCG
+    solution's own), else ``eigh``'s of the symmetrized M.  Only
+    eigenvalues above the relative rank cutoff contribute; if fewer than d
+    survive, the embedding proceeds with the available dimensions and a
+    warning.  Zero rows stay zero.
     """
-    M = np.asarray(M, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    if eigenpairs is None:
+        M = np.asarray(M, dtype=float)
+        eigenpairs = np.linalg.eigh(0.5 * (M + M.T))
+    vals, vecs = eigenpairs
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    vecs = vecs[:, order]
     cutoff = RANK_RTOL * max(float(vals[0]), 0.0)
     usable = int(np.sum(vals[:d] > cutoff))
     if usable < d:
@@ -201,7 +205,7 @@ def spectral_embedding(M, d):
             RuntimeWarning,
         )
     usable = max(usable, 1)
-    V = vecs[:, :usable].copy()
+    V = vecs[:, order[:usable]].copy()
     norms = np.linalg.norm(V, axis=1)
     keep = norms > 1e-12
     V[keep] /= norms[keep, None]
@@ -225,9 +229,7 @@ def spectral_round(M, d, restarts=10, rng=None, embedding=None):
     for _ in range(restarts):
         labels, centers, inertia = kmeans(V, d, rng)
         if best is None or inertia < best.objective:
-            best = ClusteringResult(
-                labels=labels, centers=centers, objective=inertia, iterations=1
-            )
+            best = ClusteringResult(labels, centers, inertia, iterations=1)
     return best
 
 

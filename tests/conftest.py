@@ -12,10 +12,13 @@ So do the sweep-by-sweep Lloyd and EM loops (``lloyd_reference``,
 ``em_reference``), which evaluate ``pairwise_divergence`` from scratch in
 every sweep where the package builds the data half of the cost once, and
 ``disc_terms_reference``; these three take their log-sum-exp from scipy
-where the package has its own.
+where the package has its own.  ``spectral_embedding_reference`` is the
+dense embedding as it was before it learned to read eigenpairs: it
+reorders every eigenvector column before keeping the top d.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ import scipy.linalg
 from scipy.special import logsumexp
 
 from bregrelax import SmoothProblem, cond_objective, family, pairwise_divergence
-from bregrelax.rounding import _fill_empty, cluster_means
+from bregrelax.rounding import RANK_RTOL, _fill_empty, cluster_means
 
 
 @pytest.fixture
@@ -226,6 +229,27 @@ def lloyd_reference(X, labels0, fam, max_iter, d, log_prior=False):
             break
         labels = new_labels
     return labels, centers, weights, trace, iteration
+
+
+def spectral_embedding_reference(M, d):
+    """Top-d eigenvectors of the symmetrized M, rows normalized, from one full reorder."""
+    M = np.asarray(M, dtype=float)
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    cutoff = RANK_RTOL * max(float(vals[0]), 0.0)
+    usable = int(np.sum(vals[:d] > cutoff))
+    if usable < d:
+        warnings.warn(f"spectrum supports {usable} of {d} embedding dimensions",
+                      RuntimeWarning)
+    usable = max(usable, 1)
+    V = vecs[:, :usable].copy()
+    norms = np.linalg.norm(V, axis=1)
+    keep = norms > 1e-12
+    V[keep] /= norms[keep, None]
+    V[~keep] = 0.0
+    return V
 
 
 def em_reference(X, d, fam, rng, max_iter=300, tol=1e-9):

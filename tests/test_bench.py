@@ -8,7 +8,7 @@ import csv
 import io
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,8 @@ from bregrelax import (
     score_assignments,
     stratified_subsample,
 )
-from bregrelax.bench import prepare, transfer_family, write_cell_files
+from bregrelax import bench
+from bregrelax.bench import TRANSFERS, prepare, transfer_family, write_cell_files
 from bregrelax.cli import KNOBS, _bench_grid, build_parser, main, read_config
 
 from conftest import planted_euclidean
@@ -274,11 +275,81 @@ def test_run_grid_isolates_failures(tmp_path):
     assert failures[0][0] is bad and "missing" in failures[0][1]
 
 
+def test_run_grid_parses_each_file_once(tmp_path, monkeypatch):
+    # 2 files x 2 models x 2 transfers: one parse per file, and the same
+    # results.csv bytes as running every cell on its own
+    paths = [tmp_path / f"blobs{i}.csv" for i in range(2)]
+    for i, p in enumerate(paths):
+        write_blobs(p, seed=i, noise=1.0)
+    specs = [ExperimentSpec(dataset=str(p), model=model, transfer=transfer,
+                            label_column="label", restarts=3, seed=4, max_iter=50)
+             for p in paths for model in ("cond", "alt-hard") for transfer in TRANSFERS]
+    emit_table([run_experiment(s) for s in specs], "csv", tmp_path / "alone.csv")
+    parses = []
+    load = bench.load_dataset
+    monkeypatch.setattr(bench, "load_dataset", lambda *a: parses.append(a) or load(*a))
+    records, failures = run_grid(specs)
+    assert failures == [] and len(records) == 8
+    assert [a[0] for a in parses] == [str(p) for p in paths]
+    emit_table(records, "csv", tmp_path / "grid.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+def test_run_grid_fails_every_cell_of_an_unparsable_file(tmp_path):
+    bad = tmp_path / "ragged.csv"
+    bad.write_text("1,2,0\n3,1\n")
+    specs = [ExperimentSpec(dataset=str(bad), model=model) for model in ("alt-hard", "soft-em")]
+    with pytest.raises(ParseError) as alone:
+        run_experiment(specs[0])
+    records, failures = run_grid(specs)
+    assert records == []
+    assert failures == [(s, f"ParseError: {alone.value}") for s in specs]
+    assert "line 2: expected 3 fields, got 2" in failures[0][1]
+
+
+@pytest.mark.parametrize("model, transfer, max_iter", [
+    ("cond", "linear", 50), ("joint", "linear", 50), ("disc", "sigmoid", 2),
+])
+def test_gcg_cell_runs_no_t_by_t_eigendecomposition(tmp_path, monkeypatch, model, transfer,
+                                                    max_iter):
+    # the embedding reads the solution's eigenpairs; cond-jc, whose M has
+    # no factor, shows that the guard would catch a dense eigh
+    p = tmp_path / "blobs.csv"
+    write_blobs(p, t=16)
+    eigh = np.linalg.eigh
+
+    def guarded(a, *args, **kwargs):
+        if np.shape(a)[0] >= 16:
+            raise AssertionError(f"eigh of a {np.shape(a)} matrix")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", guarded)
+    spec = ExperimentSpec(dataset=str(p), model=model, transfer=transfer, label_column="label",
+                          restarts=2, max_iter=max_iter)
+    assert len(run_experiment(spec).m_sha256) == 64
+    with pytest.raises(AssertionError, match="eigh of a"):
+        run_experiment(replace(spec, model="cond-jc", transfer="linear"))
+
+
 def test_experiment_spec_validation(tmp_path):
     with pytest.raises(ValueError, match="unknown model"):
         ExperimentSpec(dataset="x.csv", model="kmedoids")
     with pytest.raises(ValueError, match="sigmoid"):
         ExperimentSpec(dataset="x.csv", model="disc", transfer="linear")
+
+
+@pytest.mark.parametrize("clusters", [1, 0, -3])
+def test_experiment_spec_rejects_clusters_below_two(clusters):
+    # the class count is asked for with None, never with 0
+    with pytest.raises(ValueError, match="clusters must be at least 2"):
+        ExperimentSpec(dataset="x.csv", model="cond", clusters=clusters)
+
+
+@pytest.mark.parametrize("subsample", [0, -5])
+def test_experiment_spec_rejects_subsample_below_one(subsample):
+    # keeping every point is asked for with None, never with 0
+    with pytest.raises(ValueError, match="subsample must be at least 1"):
+        ExperimentSpec(dataset="x.csv", model="alt-hard", subsample=subsample)
 
 
 @pytest.mark.parametrize("model", ["alt-hard", "cond"])

@@ -24,6 +24,7 @@ from bregrelax import (
     solve_disc,
     solve_joint,
     solve_relaxation,
+    spectral_embedding,
     spectral_round,
 )
 from bregrelax import bench, models
@@ -91,6 +92,52 @@ def test_gcg_models_capped_at_zero_iterations_return_zero_M(rng, model, blocks):
     assert np.array_equal(sol.M, np.zeros((6, 6)))
     assert not sol.converged and sol.iterations == 0
     assert list(sol.auxiliaries) == blocks + ["norm", "gap"]
+    assert sol.eigenpairs is None  # the zero matrix has no factor
+
+
+# every GCG model under each family it allows (disc reads bounded features)
+GCG_CELLS = [("cond", "euclidean"), ("cond", "bernoulli"), ("disc", "bernoulli"),
+             ("joint", "euclidean"), ("joint", "bernoulli")]
+
+
+def planted_solution(model, fam, t=18, d=3):
+    """(X, truth, config, solution) of ``model`` on planted data of ``fam``."""
+    planted = planted_euclidean if fam == "euclidean" else planted_bernoulli
+    X, truth = planted(t, d, np.random.default_rng(23))
+    config = ModelConfig(d=d, family=fam, max_iter=3 if model == "disc" else 200)
+    return X, truth, config, solve_relaxation(model, X, config)
+
+
+@pytest.mark.parametrize("model, fam", GCG_CELLS)
+def test_gcg_eigenpairs_rebuild_M_bit_for_bit(model, fam):
+    X, _, _, sol = planted_solution(model, fam)
+    vals, vecs = sol.eigenpairs
+    assert np.array_equal((vecs * vals) @ vecs.T, sol.M)
+    assert vecs.shape == (X.shape[0], vals.size)
+    assert np.all(np.diff(vals) <= 0) and vals.min() >= 0 and vals.max() > 0
+    assert np.allclose(vecs.T @ vecs, np.eye(vals.size), atol=1e-12)
+
+
+def test_cond_jc_carries_no_eigenpairs(rng):
+    X, _ = planted_euclidean(12, 2, rng)
+    sol = solve_relaxation("cond-jc", X, small_config(max_iter=50))
+    assert sol.eigenpairs is None
+
+
+@pytest.mark.parametrize("model, fam", GCG_CELLS)
+def test_factor_embedding_is_the_dense_one_up_to_rotation(model, fam):
+    _, _, config, sol = planted_solution(model, fam)
+    d = config.d
+    dense = spectral_embedding(sol.M, d)
+    factor = spectral_embedding(sol.M, d, sol.eigenpairs)
+    assert factor.shape == dense.shape
+    # the orthogonal Q nearest to dense' factor (Procrustes) maps one onto the other
+    U, _, Vt = np.linalg.svd(dense.T @ factor)
+    assert np.max(np.abs(dense @ (U @ Vt) - factor)) <= 1e-10
+    for seed in range(3):
+        labels = [spectral_round(sol.M, d, restarts=2, rng=np.random.default_rng(seed),
+                                 embedding=V).labels for V in (dense, factor)]
+        assert np.array_equal(*labels)
 
 
 def test_derived_rng_is_keyed():

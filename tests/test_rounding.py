@@ -6,11 +6,13 @@ assignments on small instances.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from bregrelax import (
+    ModelConfig,
     cond_objective,
     family,
     hard_reopt,
@@ -18,6 +20,7 @@ from bregrelax import (
     kmeans,
     matched_accuracy,
     soft_accuracy,
+    solve_relaxation,
     spectral_embedding,
     spectral_round,
 )
@@ -27,7 +30,9 @@ from conftest import (
     equivalence_from_assignment,
     exhaustive_hard_optimum,
     lloyd_reference,
+    planted_bernoulli,
     planted_euclidean,
+    spectral_embedding_reference,
 )
 
 
@@ -384,6 +389,39 @@ def test_spectral_embedding_degenerate_warns():
     with pytest.warns(RuntimeWarning, match="embedding dimensions"):
         V = spectral_embedding(M, 2)
     assert V.shape == (6, 1)
+
+
+@pytest.mark.parametrize("t, d, rank", [(6, 2, 6), (30, 3, 30), (30, 9, 30), (40, 12, 40),
+                                        (20, 4, 2)])
+def test_dense_embedding_is_the_reference_bit_for_bit(rng, t, d, rank):
+    # the dense path copies only the kept columns, the reference reorders all
+    # t first; also on an asymmetric M (as ADMM returns) and a rank-deficient one
+    A = rng.normal(size=(t, rank))
+    M = A @ A.T / t + 1e-6 * rng.normal(size=(t, t))
+    if rank < d:
+        M = 0.5 * (M + M.T) - 1e-5 * np.eye(t)  # no spurious positive tail
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        V = spectral_embedding(M, d)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        ref = spectral_embedding_reference(M, d)
+    assert np.array_equal(V, ref)
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert bool(want) == (rank < d)
+
+
+def test_zero_T_solution_embeds_densely_with_the_same_warning_and_bits(rng):
+    # a GCG solve stopped at T = 0 (max_iter=0, as perfbench's smoke disc
+    # cell runs) has no factor; the dense path warns and embeds as the reference
+    X, _ = planted_bernoulli(12, 3, rng)
+    sol = solve_relaxation("disc", X, ModelConfig(d=3, family="bernoulli", max_iter=0))
+    assert sol.eigenpairs is None
+    with pytest.warns(RuntimeWarning, match="supports 0 of 3"):
+        V = spectral_embedding(sol.M, 3, sol.eigenpairs)
+    with pytest.warns(RuntimeWarning, match="supports 0 of 3"):
+        ref = spectral_embedding_reference(sol.M, 3)
+    assert np.array_equal(V, ref)
 
 
 def test_spectral_round_exact_partition(rng):
