@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .divergences import family, pairwise_divergence
+from .divergences import family, pairwise_divergence, softmax_rows
 from .models import (
     MODELS,
     RELAXATION_MODELS,
@@ -301,14 +301,14 @@ CSV_COLUMNS = tuple(
 
 
 def _joint_posteriors(X, result, fam):
-    scores = result.weights[None, :] - pairwise_divergence(fam, X, result.centers)
-    e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+    return softmax_rows(result.weights[None, :] - pairwise_divergence(fam, X, result.centers))[1]
 
 
 def _prepared(ds, transfer, subsample, seed):
     """Subsample (when ``subsample`` is set) and preprocess copies of ``ds``."""
-    if subsample:
+    if subsample is not None:
+        if subsample < 1:
+            raise ValueError(f"subsample must be at least 1, got {subsample}")
         ds = stratified_subsample(ds, subsample, seed)
     return preprocess(ds, transfer)
 

@@ -129,7 +129,8 @@ def _bench_grid(args):
     """(output directory, cell specs) of a bench run.
 
     Flags override config-file values knob by knob; the grid is every
-    dataset x model x transfer, without disc off the sigmoid transfer.
+    dataset x model x transfer, without disc off the sigmoid transfer.  A
+    grid left with no cell is an error.
     """
     values = {}
     for path in args.config:
@@ -149,6 +150,8 @@ def _bench_grid(args):
         for transfer in transfers
         if model != "disc" or transfer == "sigmoid"
     ]
+    if not specs:
+        raise SystemExit("bench grid has no cells: disc runs on the sigmoid transfer only")
     return out, specs
 
 

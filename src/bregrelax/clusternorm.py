@@ -105,28 +105,17 @@ def cluster_norm_dual_subgradient(R, d):
     return (U[:, :r] * (top[:r] / scale)) @ Vt[:r]
 
 
-def equivalence_factor(T, d):
-    """(sigma, U) with ``recover_equivalence(T, d)`` = (U * sigma) @ U.T, None for T = 0.
+def recover_equivalence(T, d):
+    """Optimal relaxation M paired with T at the squared-norm optimum, and its eigenpairs.
 
-    U is the left factor of T's thin SVD, sigma the water-filled spectrum.
+    One thin SVD T = U diag(s) V' gives (M, (sigma, U)) with sigma the
+    water-filled s and M = (U * sigma) @ U.T, so tr(T' M^+ T) equals the
+    squared cluster norm and Im(T) lies within Im(M).  For T = 0 every M is
+    optimal; the zero matrix is returned, with eigenpairs None.
     """
     T = np.asarray(T, dtype=float)
     if not np.any(T):
-        return None
+        return np.zeros((len(T), len(T))), None
     U, s, _ = np.linalg.svd(T, full_matrices=False)
-    return spectrum_waterfill(s, d).sigma[: s.size], U
-
-
-def recover_equivalence(T, d):
-    """Optimal relaxation matrix M paired with T at the squared-norm optimum.
-
-    The left singular vectors of T carry the water-filled eigenvalues
-    (``equivalence_factor``), so tr(T' M^+ T) equals the squared cluster
-    norm and Im(T) lies within Im(M).  Every such M is optimal for T = 0;
-    the zero matrix is returned.
-    """
-    factor = equivalence_factor(T, d)
-    if factor is None:
-        return np.zeros((len(T), len(T)))
-    sigma, U = factor
-    return (U * sigma) @ U.T
+    sigma = spectrum_waterfill(s, d).sigma[: s.size]
+    return (U * sigma) @ U.T, (sigma, U)

@@ -15,8 +15,9 @@ kernel; ``pairwise_cost`` expands it for every pair of rows.  It sums the
 data's potential once, so hot loops (Lloyd, EM) build it once per dataset
 and call it with each sweep's centers; ``pairwise_divergence`` is its
 one-shot form.  No other module evaluates a divergence or knows a
-family's domain.  The log-sum-exp helpers at the end serve EM, ``disc``,
-``joint`` and Lloyd's log-prior.
+family's domain.  ``softmax_rows`` is the package's one normalization in
+log space: EM's E-step, ``disc``'s self-classification loss, ``joint``'s
+prior block and the scorer's posteriors all call it.
 """
 
 import numpy as np
@@ -205,42 +206,18 @@ def pairwise_divergence(fam, X, C):
     return pairwise_cost(fam, X)(C)
 
 
-def logsumexp_value_grad(w):
-    """Stabilized log-sum-exp of a vector and its gradient (the softmax).
+def softmax_rows(S):
+    """Row log-sum-exps and row softmax of a real 2-d array: (lse, P).
 
-    The gradient entries are positive and sum to 1.  The value is
-    m + log sum exp(w - m), not ``logsumexp_rows``'s form; ``joint``'s
-    prior block is computed with it, and merging the two would move its bits.
-    """
-    w = np.asarray(w, dtype=float)
-    m = np.max(w)
-    e = np.exp(w - m)
-    z = np.sum(e)
-    return float(m + np.log(z)), e / z
-
-
-def logsumexp_rows(S):
-    """log sum_j exp(S[i, j]) for every row i of a real 2-d array.
-
-    Bit for bit scipy's ``logsumexp(S, axis=1)``: with a the row max and m
-    its number of ties, s sums exp(S - a) over the other entries and the
-    row gets log1p(s / m) + log(m) + a; a row where that is not finite (a
-    non-finite max) gets log(sum(exp(S))).  Reducing the short rows of a
-    tall array is slow in numpy, so the max and the tie count reduce a
-    column-major copy; neither depends on order.  The sum of exponentials
-    keeps S's layout, since numpy sums a row in sequence below 8 entries
-    and pairwise from 8.
+    With a the row max, e = exp(S - a) and s its row sum, lse = log(s) + a
+    and P = e / s (scipy's ``softmax``), the gradient of lse.  The max
+    reduces a column-major copy, fast on short rows; a row whose max is
+    not finite is not shifted, so its lse is scipy's -inf, inf or nan.
     """
     S = np.asarray(S, dtype=float)
     a = np.asfortranarray(S).max(axis=1)
-    ties = S == a[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        e = np.exp(S - a[:, None])
-        e[ties] = 0.0
-        m = np.asfortranarray(ties).sum(axis=1, dtype=float)
-        # m = 0 only on a NaN max, whose row falls back below
-        out = np.log1p(np.sum(e, axis=1) / m) + np.log(m) + a
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(S[bad]), axis=1))
-    return out
+    a[~np.isfinite(a)] = 0.0
+    e = np.exp(S - a[:, None])
+    s = np.sum(e, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(s) + a, e / s[:, None]

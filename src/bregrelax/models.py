@@ -25,14 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .clusternorm import equivalence_factor, recover_equivalence
+from .clusternorm import recover_equivalence
 from .divergences import (
     conjugate_divergence,
     family,
-    logsumexp_rows,
-    logsumexp_value_grad,
     pairwise_cost,
     pairwise_divergence,
+    softmax_rows,
 )
 from .rounding import cluster_means, hard_reopt
 from .solvers import (
@@ -187,15 +186,16 @@ def _gcg_solution(model, loss, weight, config, blocks):
     ``auxiliaries``, ahead of its cluster norm and the final gap.
     """
     res = gcg_minimize(loss, weight, config.d, tol=config.tol, max_iter=config.max_iter)
+    M, eigenpairs = recover_equivalence(res.T, config.d)
     return RelaxationSolution(
         model=model,
-        M=recover_equivalence(res.T, config.d),
+        M=M,
         objective=res.objective,
         converged=res.converged,
         iterations=res.iterations,
         trace=res.trace,
         auxiliaries={**blocks(res.T), "norm": res.norm, "gap": res.gap},
-        eigenpairs=equivalence_factor(res.T, config.d),
+        eigenpairs=eigenpairs,
     )
 
 
@@ -214,12 +214,10 @@ def _disc_terms(Z0, tau):
     """The self-classification loss at scores Z = Z0 + 1 tau'.
 
     Returns (value, P): the value (sum_i lse(Z_i) - tr Z0 - sum tau) / t
-    and the row softmax P of Z.  Its gradient in tau is
-    (P.sum(0) - 1) / t.
+    and the row softmax P of Z, both from ``softmax_rows``.  Its gradient
+    in tau is (P.sum(0) - 1) / t.
     """
-    Z = Z0 + tau[None, :]
-    lse = logsumexp_rows(Z)
-    P = np.exp(Z - lse[:, None])
+    lse, P = softmax_rows(Z0 + tau[None, :])
     return (lse.sum() - np.trace(Z0) - tau.sum()) / Z0.shape[0], P
 
 
@@ -228,7 +226,7 @@ def _disc_problem(X):
 
     For a classifier matrix V (one linear scorer per point) the score
     matrix is Z = X V' / t + 1 tau'; the loss is the mean of
-    [logsumexp(Z_i) - Z_ii].  Evaluation minimizes over tau with a warm
+    [lse(Z_i) - Z_ii].  Evaluation minimizes over tau with a warm
     started smooth solve to gradient norm ``BIAS_TOL`` (at most
     ``BIAS_MAX_ITER`` iterations), so gradients in V are envelope
     gradients.  The segment holds the bias of its iterate fixed, which
@@ -306,7 +304,7 @@ def _joint_terms(fam, u, T, X, FX):
     two carry the curvature of the u and T blocks.
     """
     t = X.shape[0]
-    lse, sm = logsumexp_value_grad(u / t)
+    (lse,), (sm,) = softmax_rows((u / t)[None, :])
     Y = fam.inverse_transfer(T)
     val = lse - float(np.mean(u)) + conjugate_divergence(fam, T, FX) / t
     return val, (sm - 1.0) / t, (Y - X) / t, sm, Y
@@ -413,10 +411,8 @@ def _em_once(X, d, cost, rng, max_iter=300, tol=1e-9):
     P = np.full((t, d), 1.0 / d)
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        S = logq[None, :] - cost(centers)
-        lse = logsumexp_rows(S)
+        lse, P = softmax_rows(logq[None, :] - cost(centers))
         ll = float(lse.sum())
-        P = np.exp(S - lse[:, None])
         trace.append(ll)
         if ll - prev < tol * (1.0 + abs(ll)) and iteration > 1:
             break

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from .divergences import family, logsumexp_rows, pairwise_cost, pairwise_divergence
+from .divergences import family, pairwise_cost, pairwise_divergence
 
 # Eigenvalues below RANK_RTOL * (largest eigenvalue) are treated as zero.
 RANK_RTOL = 1e-9
@@ -81,13 +81,14 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
 
     Each sweep fits the means of the current labels (with ``log_prior``
     also log-priors w = log(counts / t), else w = 0), records the objective
-    sum_i [D_F(x_i, mu_{y_i}) - w_{y_i}] (+ t lse(w) with priors), then
-    moves each point to argmin_j [D_F(x_i, mu_j) - w_j].  Means minimize a
-    Bregman divergence sum, so without priors the trace never increases.  A
-    cluster left empty takes the point farthest from its own center.  Stops
-    at a fixed point or after ``max_iter`` sweeps; the returned centers,
-    weights and objective belong to the returned labels.  The data half of
-    the cost (``pairwise_cost``) is built once per call.
+    sum_i [D_F(x_i, mu_{y_i}) - w_{y_i}] (a prior objective's t lse(w) is
+    0, as exp(w) sums to 1), then moves each point to
+    argmin_j [D_F(x_i, mu_j) - w_j].  Means minimize a Bregman divergence
+    sum, so without priors the trace never increases.  A cluster left
+    empty takes the point farthest from its own center.  Stops at a fixed
+    point or after ``max_iter`` sweeps; the returned centers, weights and
+    objective belong to the returned labels.  The data half of the cost
+    (``pairwise_cost``) is built once per call.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -108,12 +109,10 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
     for iteration in range(1, max_iter + 1):
         centers, counts = cluster_means(X, labels, d)
         cost = cost_of(centers)
-        objective = 0.0
         if log_prior:
             weights = np.log(counts / t)
             cost = cost - weights[None, :]
-            objective = t * logsumexp_rows(weights[None, :])[0]
-        trace.append(float(objective + cost[rows, labels].sum()))
+        trace.append(float(cost[rows, labels].sum()))
         if iteration == max_iter:
             break
         new_labels = _fill_empty(X, cost.argmin(axis=1), centers, fam)
@@ -144,8 +143,9 @@ def joint_hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
 
     Blocks: cluster weights w = log(counts / t), means, and MAP labels
     argmax_j [w_j - D_F(x_i, mu_j)].  The objective
-    sum_i [-w_{y_i} + D_F(x_i, mu_{y_i})] + t * lse(w) rewards skewed
-    cluster sizes relative to plain alternating minimization.
+    sum_i [-w_{y_i} + D_F(x_i, mu_{y_i})] + t * lse(w), whose last term is
+    0 at the fitted w, rewards skewed cluster sizes relative to plain
+    alternating minimization.
     """
     return lloyd(X, labels0, fam, max_iter, d, log_prior=True)
 

@@ -11,10 +11,12 @@ raising ``RangeError``) and the one-row simplex projection
 So do the sweep-by-sweep Lloyd and EM loops (``lloyd_reference``,
 ``em_reference``), which evaluate ``pairwise_divergence`` from scratch in
 every sweep where the package builds the data half of the cost once, and
-``disc_terms_reference``; these three take their log-sum-exp from scipy
-where the package has its own.  ``spectral_embedding_reference`` is the
-dense embedding as it was before it learned to read eigenpairs: it
-reorders every eigenvector column before keeping the top d.
+``disc_terms_reference``; these three take their row log-sum-exp and
+softmax from ``row_softmax``, a plain max shift in ``softmax_rows``'s
+arithmetic (which ``test_divergences`` checks against scipy), and the
+Lloyd loop records no log-prior term.  ``spectral_embedding_reference``
+is the dense embedding as it was before it learned to read eigenpairs:
+it reorders every eigenvector column before keeping the top d.
 """
 
 import itertools
@@ -23,7 +25,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.special import logsumexp
 
 from bregrelax import SmoothProblem, cond_objective, family, pairwise_divergence
 from bregrelax.rounding import RANK_RTOL, _fill_empty, cluster_means
@@ -201,6 +202,14 @@ def quadratic_loss(C, calls=None):
     return SmoothProblem(shape=C.shape, value_and_grad=value_and_grad, segment=segment)
 
 
+def row_softmax(S):
+    """(lse, P) of each row: max-shift, exp, row sum s, log(s) + max and e / s."""
+    a = np.max(S, axis=1)
+    e = np.exp(S - a[:, None])
+    s = np.sum(e, axis=1)
+    return np.log(s) + a, e / s[:, None]
+
+
 def lloyd_reference(X, labels0, fam, max_iter, d, log_prior=False):
     """Lloyd's loop with the full ``pairwise_divergence`` in every sweep.
 
@@ -216,12 +225,10 @@ def lloyd_reference(X, labels0, fam, max_iter, d, log_prior=False):
     for iteration in range(1, max_iter + 1):
         centers, counts = cluster_means(X, labels, d)
         cost = pairwise_divergence(fam, X, centers)
-        objective = 0.0
         if log_prior:
             weights = np.log(counts / t)
             cost = cost - weights[None, :]
-            objective = t * logsumexp(weights)
-        trace.append(float(objective + cost[np.arange(t), labels].sum()))
+        trace.append(float(cost[np.arange(t), labels].sum()))
         if iteration == max_iter:
             break
         new_labels = _fill_empty(X, cost.argmin(axis=1), centers, fam)
@@ -265,10 +272,8 @@ def em_reference(X, d, fam, rng, max_iter=300, tol=1e-9):
     prev = -np.inf
     trace = []
     for iteration in range(1, max_iter + 1):
-        S = logq[None, :] - pairwise_divergence(fam, X, centers)
-        lse = logsumexp(S, axis=1)
+        lse, P = row_softmax(logq[None, :] - pairwise_divergence(fam, X, centers))
         ll = float(lse.sum())
-        P = np.exp(S - lse[:, None])
         trace.append(ll)
         if ll - prev < tol * (1.0 + abs(ll)) and iteration > 1:
             break
@@ -281,10 +286,8 @@ def em_reference(X, d, fam, rng, max_iter=300, tol=1e-9):
 
 
 def disc_terms_reference(Z0, tau):
-    """``models._disc_terms`` on scipy's ``logsumexp``: (value, row softmax P)."""
-    Z = Z0 + tau[None, :]
-    lse = logsumexp(Z, axis=1)
-    P = np.exp(Z - lse[:, None])
+    """``models._disc_terms`` on ``row_softmax``: (value, row softmax P)."""
+    lse, P = row_softmax(Z0 + tau[None, :])
     return (lse.sum() - np.trace(Z0) - tau.sum()) / Z0.shape[0], P
 
 

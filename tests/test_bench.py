@@ -643,6 +643,35 @@ def test_cli_score_subsample_reproduces_bench_cell(tmp_path, capsys):
     assert stats["acc_mean"] == pytest.approx(float(row["acc_mean"]), rel=1e-12)
 
 
+@pytest.mark.parametrize("subsample", ["0", "-2"])
+def test_cli_score_rejects_subsample_below_one(tmp_path, subsample):
+    # as for bench and solve, keeping every point means leaving --subsample out
+    p = tmp_path / "blobs.csv"
+    _, labels = write_blobs(p)
+    a = tmp_path / "assign.csv"
+    a.write_text(",".join(str(v) for v in labels) + "\n")
+    with pytest.raises(ValueError, match="subsample must be at least 1"):
+        main(["score", "--data", str(p), "--label-col", "label", "--assignments", str(a),
+              "--subsample", subsample])
+
+
+def test_cli_bench_with_no_cell_left_is_an_error(tmp_path, capsys):
+    # disc is dropped off the linear transfer, which leaves nothing to run
+    p = tmp_path / "blobs.csv"
+    write_blobs(p)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit, match="disc runs on the sigmoid transfer only") as exc:
+        main(["bench", "--data", str(p), "--label-col", "label", "--model", "disc",
+              "--transfer", "linear", "--out", str(out)])
+    assert not out.exists()  # a message-carrying SystemExit exits with status 1
+    # a mixed grid keeps its other cells
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"dataset={p}\nlabel_column=label\nmodel=disc,alt-hard\n"
+                   "transfer=linear\nrestarts=2\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "1 cells" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag", ["--name", "--clusters", "--alpha", "--beta", "--gamma",
                                   "--restarts", "--tol", "--admm-tol", "--max-iter", "--out"])
 def test_cli_score_rejects_flags_that_change_nothing_it_loads(capsys, flag):

@@ -155,19 +155,24 @@ def test_primal_dual_cauchy_schwarz(rng):
 def test_recover_equivalence_membership(rng):
     for _ in range(10):
         T = rng.normal(size=(6, 4))
-        M = recover_equivalence(T, 3)
+        M, (sigma, U) = recover_equivalence(T, 3)
         assert check_membership(M, 3, "centered", tol=1e-8)
         val = pinv_quadratic_form(M, T)
         assert val == pytest.approx(cluster_norm(T, 3) ** 2, rel=1e-8)
+        # the eigenpairs are T's left singular vectors under the water-filled spectrum
+        assert np.array_equal((U * sigma) @ U.T, M)
+        assert np.allclose(U, np.linalg.svd(T, full_matrices=False)[0])
 
 
 def test_recover_equivalence_rank_bound(rng):
     T = rng.normal(size=(8, 5))
-    M = recover_equivalence(T, 3)
+    M, (sigma, U) = recover_equivalence(T, 3)
     eigs = np.linalg.eigvalsh(M)
     assert np.sum(eigs) <= 2.0 + 1e-8
+    assert U.shape == (8, 5) and sigma.shape == (5,) and np.sum(sigma) <= 2.0 + 1e-12
 
 
 def test_recover_equivalence_zero_is_zero_matrix():
-    M = recover_equivalence(np.zeros((4, 2)), 3)
+    M, eigenpairs = recover_equivalence(np.zeros((4, 2)), 3)
     assert M.shape == (4, 4) and not np.any(M)
+    assert eigenpairs is None

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, softmax
 
 from bregrelax import (
     BERNOULLI_CLIP,
@@ -10,7 +10,7 @@ from bregrelax import (
     family,
     pairwise_divergence,
 )
-from bregrelax.divergences import logsumexp_rows, logsumexp_value_grad, pairwise_cost
+from bregrelax.divergences import pairwise_cost, softmax_rows
 from bregrelax.models import _cond_problem
 
 from conftest import finite_difference_gradient
@@ -213,19 +213,17 @@ def test_pairwise_cost_validates_every_center_matrix(rng):
 
 
 def test_logsumexp_value_grad_stability():
-    w = np.array([1000.0, 1000.0, -1000.0])
-    val, grad = logsumexp_value_grad(w)
-    assert np.isfinite(val)
-    assert val == pytest.approx(1000.0 + np.log(2.0), rel=1e-12)
-    assert grad.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(grad >= 0.0)
+    lse, P = softmax_rows(np.array([[1000.0, 1000.0, -1000.0], [-1000.0, -1001.0, -1000.0]]))
+    assert lse == pytest.approx([1000.0 + np.log(2.0), -1000.0 + np.log(2.0 + np.exp(-1.0))],
+                               rel=1e-12)
+    assert P[0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-15)
+    assert np.all(P >= 0.0)
 
 
 def test_logsumexp_value_grad_gradient(rng):
     w = rng.normal(size=5) * 4.0
-    _, grad = logsumexp_value_grad(w)
-    fd = finite_difference_gradient(lambda v: logsumexp_value_grad(v)[0], w)
-    assert grad.sum() == pytest.approx(1.0, abs=1e-12)
+    _, (grad,) = softmax_rows(w[None, :])
+    fd = finite_difference_gradient(lambda v: softmax_rows(v[None, :])[0][0], w)
     assert np.linalg.norm(fd - grad) <= 1e-6 * (1.0 + np.linalg.norm(grad))
 
 
@@ -235,33 +233,48 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("d", range(1, 13))
-def test_logsumexp_rows_is_scipys_bit_for_bit(rng, d):
-    # d below and from 8 covers numpy's sequential and pairwise row sums
+def test_softmax_rows_is_scipys(rng, d):
+    # d below and from 8 covers numpy's sequential and pairwise row sums;
+    # lse is scipy's to 1e-14 (scipy counts tied maxima, softmax_rows does
+    # not), relative above 1 and absolute below: on a row such as
+    # [0, -30, -30] lse is ~1e-13, where log(s) keeps less than scipy's
+    # log1p; P is scipy's softmax bit for bit, its rows summing to 1
     for scale in (1e-3, 1.0, 30.0, 1e4):
         S = rng.normal(scale=scale, size=(50, d))
         ties = np.round(S / scale) * scale  # several tied row maxima
         for A in (S, ties, S[:1], np.asfortranarray(S)):
-            assert _same_bits(logsumexp_rows(A), logsumexp(A, axis=1))
+            lse, P = softmax_rows(A)
+            want = logsumexp(A, axis=1)
+            assert lse.shape == want.shape
+            assert np.all(np.abs(lse - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+            assert _same_bits(P, softmax(A, axis=1))
+            assert np.all(np.abs(P.sum(axis=1) - 1.0) <= 1e-14)
 
 
 @pytest.mark.parametrize("d", [1, 3, 9])
 def test_logsumexp_rows_non_finite_rows_are_scipys(rng, d):
-    # a row with +inf, a row of -inf and a row with NaN take scipy's
-    # log(sum(exp(S))) fallback; the finite rows around them do not
+    # a row with +inf, a row of -inf and a row with NaN get scipy's lse;
+    # the finite rows around them keep their bits
     S = rng.normal(size=(5, d))
     S[1, 0] = np.inf
     S[2] = -np.inf
     S[3, -1] = np.nan
     with np.errstate(all="ignore"):
         want = logsumexp(S, axis=1)
-    got = logsumexp_rows(S)
-    assert _same_bits(got, want)
-    assert got[1] == np.inf and got[2] == -np.inf and np.isnan(got[3])
-    assert np.isfinite(got[[0, 4]]).all()
+    lse, P = softmax_rows(S)
+    assert _same_bits(lse, want)
+    assert lse[1] == np.inf and lse[2] == -np.inf and np.isnan(lse[3])
+    finite = [0, 4]
+    lse_alone, P_alone = softmax_rows(S[finite])
+    assert _same_bits(lse[finite], lse_alone) and _same_bits(P[finite], P_alone)
 
 
 def test_logsumexp_rows_one_row_is_the_vector_logsumexp(rng):
-    # Lloyd's log-prior term t * lse(w), with w = log(counts / t)
-    for w in (np.log(np.array([3.0, 5.0, 2.0]) / 10.0), rng.normal(scale=50.0, size=9)):
-        got = logsumexp_rows(w[None, :])
-        assert got.shape == (1,) and _same_bits(got[0], logsumexp(w))
+    # joint's prior block: lse(w) = m + log(sum(exp(w - m))) and its softmax e / z
+    for w in (np.log(np.array([3.0, 5.0, 2.0]) / 10.0), rng.normal(scale=50.0, size=9),
+              rng.normal(size=60)):
+        m = np.max(w)
+        e = np.exp(w - m)
+        z = np.sum(e)
+        (lse,), (P,) = softmax_rows(w[None, :])
+        assert _same_bits(lse, m + np.log(z)) and _same_bits(P, e / z)
