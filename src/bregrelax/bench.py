@@ -327,13 +327,17 @@ def prepare(spec, parsed=None):
 
     Returns (dataset, config).  ``parsed`` is the cell's parsed file, if
     the caller has it.  The cluster count defaults to the number of
-    classes, and the divergence family follows the transfer.
+    classes, and the divergence family follows the transfer.  More
+    clusters than points raise ValueError.
     """
     if parsed is None:
         parsed = load_dataset(*_parse_key(spec))
     ds = _prepared(parsed, spec.transfer, spec.subsample, spec.seed)
+    d = spec.clusters or ds.n_classes
+    if d > ds.t:
+        raise ValueError(f"clusters={d} exceeds the t={ds.t} points of {ds.name}")
     config = ModelConfig(
-        d=spec.clusters or ds.n_classes,
+        d=d,
         family=transfer_family(spec.transfer),
         **{name: getattr(spec, name) for name in _SHARED_KNOBS},
     )
@@ -353,11 +357,11 @@ def run_experiment(spec, parsed=None):
     Relaxation models: solve, then round `restarts` times with
     derived seeds, re-optimize each rounding with the model's hard
     alternation, and score.  Baselines aggregate across their own restarts
-    directly.  Every labeling is scored after the model branches as
-    ``score_assignments`` scores it, so ``score`` reproduces each statistic
-    from the persisted assignments exactly.  For ``alt-hard`` that score is
-    also Lloyd's own objective: ``cond_objective`` reads Lloyd's cost.
-    ``parsed`` is passed on to ``prepare``.
+    directly.  The cell's labelings are scored after the model branches in
+    one ``cond_objective`` call, as ``score_assignments`` scores them, so
+    ``score`` reproduces each statistic from the persisted assignments
+    exactly.  For ``alt-hard`` that score is also Lloyd's own objective:
+    ``cond_objective`` reads Lloyd's cost.  ``parsed`` goes to ``prepare``.
     """
     ds, config = prepare(spec, parsed)
     fam = family(config.family)
@@ -398,7 +402,7 @@ def run_experiment(spec, parsed=None):
         softs = [soft_accuracy(res.posteriors, truth)[0] for res in runs]
         iterations = max(res.iterations for res in runs)
 
-    objs = [cond_objective(X, labels, fam) for labels in assignments]
+    objs = cond_objective(X, assignments, fam).tolist()
     accs = [matched_accuracy(labels, truth)[0] for labels in assignments]
     seconds = time.perf_counter() - start
     record = ResultRecord(
@@ -551,6 +555,6 @@ def score_assignments(data_path, assignment_path, transfer="linear", label_colum
         raise ValueError(f"{assignment_path}: no assignment rows")
     return {
         "repeats": len(rows),
-        **_summary(obj=[cond_objective(ds.X, row, fam) for row in rows],
+        **_summary(obj=cond_objective(ds.X, rows, fam).tolist(),
                    acc=[matched_accuracy(row, ds.labels)[0] for row in rows]),
     }

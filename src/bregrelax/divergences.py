@@ -13,8 +13,8 @@ satisfy D_F(x, y) = D_F*(f(y), f(x)).  Two families ship: ``euclidean``
 divergence (summed or per row) and the dual one share one entrywise
 kernel; ``pairwise_cost`` expands it for every pair of rows.  It sums the
 data's potential once, so hot loops (Lloyd, EM) build it once per dataset
-and call it with each sweep's centers; ``pairwise_divergence`` is its
-one-shot form.  No other module evaluates a divergence or knows a
+and call it with each sweep's stack of center sets; ``pairwise_divergence``
+is its one-shot form.  No other module evaluates a divergence or knows a
 family's domain.  ``softmax_rows`` is the package's one normalization in
 log space: EM's E-step, ``disc``'s self-classification loss, ``joint``'s
 prior block and the scorer's posteriors all call it.
@@ -176,24 +176,28 @@ def pairwise_cost(fam, X):
 
     Validates X and sums its potential once; each call validates C and
     does only the work that depends on the centers.  For X of shape (t, n)
-    and C of shape (k, n) the cost is a (t, k) array.
+    the cost of C (k, n) is (t, k), and of a stack C (R, k, n) is
+    (R, t, k).  One stacked matmul makes each set's cross term with the
+    BLAS call that set makes alone, so each matrix is its own bit for bit;
+    one GEMM over all sets can round differently (BLAS picks its kernel
+    by size).
     """
     fam = family(fam)
     X = fam.check_domain(X)
     if X.ndim != 2:
         raise ValueError(f"data must be a 2-d array, got shape {X.shape}")
-    fx = np.sum(fam.potential(X), axis=1)  # (t,)
+    fx = np.sum(fam.potential(X), axis=1)[:, None]  # (t, 1)
 
     def cost(C):
         C = fam.check_domain(C)
-        if C.ndim != 2 or X.shape[1] != C.shape[1]:
+        if C.ndim not in (2, 3) or C.shape[-1] != X.shape[1]:
             raise ValueError(f"incompatible shapes: {X.shape} vs {C.shape}")
-        fc = np.sum(fam.potential(C), axis=1)  # (k,)
-        tc = fam.transfer(C)  # (k, n)
-        # D[i, j] = fx[i] - fc[j] - <X[i] - C[j], f(C[j])>
-        cross = X @ tc.T  # (t, k)
-        own = np.sum(C * tc, axis=1)  # (k,)
-        return np.maximum(fx[:, None] - fc[None, :] - cross + own[None, :], 0.0)
+        fc = np.sum(fam.potential(C), axis=-1)[..., None, :]  # (R, 1, k)
+        tc = fam.transfer(C)  # (R, k, n)
+        # D[r, i, j] = fx[i] - fc[r, j] - <X[i] - C[r, j], f(C[r, j])>
+        cross = np.matmul(X, np.swapaxes(tc, -1, -2))  # (R, t, k)
+        own = np.sum(C * tc, axis=-1)[..., None, :]  # (R, 1, k)
+        return np.maximum(fx - fc - cross + own, 0.0)
 
     return cost
 

@@ -16,8 +16,10 @@ SmoothProblem and ``_gcg_solution`` solves it and packages the result.
 * ``joint``    -- joint model with a relaxed log-prior block stacked next
                   to the conjugate responsibilities.
 
-Baselines: ``alt-hard`` (alternating hard clustering with restarts, each
-restart one ``rounding.hard_reopt`` run) and ``soft-em`` (mixture EM).
+Baselines: ``alt-hard`` (alternating hard clustering with restarts, all
+restarts one ``rounding.lloyd`` stack) and ``soft-em`` (mixture EM, all
+restarts one stacked EM).  ``cond_objective`` scores one labeling or a
+stack of them.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +35,7 @@ from .divergences import (
     pairwise_divergence,
     softmax_rows,
 )
-from .rounding import cluster_means, hard_reopt
+from .rounding import cluster_means, lloyd
 from .solvers import (
     SmoothProblem,
     SolverDivergence,
@@ -107,16 +109,25 @@ class RelaxationSolution:
 def cond_objective(X, labels, fam="euclidean"):
     """sum_i D_F(x_i, mean of x_i's cluster) for a hard clustering.
 
-    Reads Lloyd's cost matrix (``pairwise_divergence``) at the labels, so a
-    ``hard_reopt`` objective equals it bit for bit.
+    One labeling (t,) gives a float, a stack (R, t) an array of R values.
+    Each labeling is fitted with its own cluster count, as alone, in one
+    ``pairwise_divergence`` call per distinct count.  Reads Lloyd's cost
+    matrix at the labels, so a ``hard_reopt`` objective equals it bit for bit.
     """
     fam = family(fam)
     X = fam.check_domain(X)
-    labels = np.asarray(labels).astype(int).ravel()
-    if labels.shape[0] != X.shape[0] or labels.min() < 0:
-        raise ValueError(f"need {X.shape[0]} nonnegative labels, one per point")
-    centers, _ = cluster_means(X, labels, int(labels.max()) + 1)
-    return float(pairwise_divergence(fam, X, centers)[np.arange(X.shape[0]), labels].sum())
+    labels = np.asarray(labels).astype(int)
+    t = X.shape[0]
+    if labels.ndim not in (1, 2) or labels.shape[-1] != t or labels.min() < 0:
+        raise ValueError(f"need {t} nonnegative labels, one per point")
+    stack = labels.reshape(-1, t)
+    top = stack.max(axis=1)
+    values = np.empty(len(stack))
+    for d in np.unique(top):
+        rows = stack[top == d]
+        cost = pairwise_divergence(fam, X, cluster_means(X, rows, d + 1)[0])
+        values[top == d] = cost[np.arange(len(rows))[:, None], np.arange(t), rows].sum(axis=1)
+    return float(values[0]) if labels.ndim == 1 else values
 
 
 def solve_cond_jc(X, config):
@@ -373,16 +384,11 @@ def solve_relaxation(model, X, config):
 
 
 def alternating_restarts(X, config):
-    """One hard alternating run per restart, each from random labels."""
-    fam = family(config.family)
-    X = fam.check_domain(X)
-    t = X.shape[0]
-    results = []
-    for r in range(config.restarts):
-        rng = derived_rng(config.seed, 0, r)
-        labels0 = rng.integers(0, config.d, size=t)
-        results.append(hard_reopt(X, labels0, fam, d=config.d))
-    return results
+    """One hard alternating run per restart from random labels, as one ``lloyd`` stack."""
+    t = len(X)
+    starts = [derived_rng(config.seed, 0, r).integers(0, config.d, size=t)
+              for r in range(config.restarts)]
+    return lloyd(X, starts, config.family, d=config.d)
 
 
 def alternating_hard(X, config):
@@ -401,44 +407,53 @@ class SoftEmResult:
     trace: list = field(default_factory=list)
 
 
-def _em_once(X, d, cost, rng, max_iter=300, tol=1e-9):
-    """One EM run from d random data rows; ``cost`` is ``pairwise_cost(fam, X)``."""
+def _mixture_em(X, d, fam, rngs, max_iter=300, tol=1e-9):
+    """EM from d random data rows per generator, the runs as one stack.
+
+    Each sweep evaluates every live run's cost in one ``pairwise_cost``
+    call and its E-step in one ``softmax_rows`` call; a run leaves the
+    stack at its own tolerance stop.  Returns one SoftEmResult per run.
+    """
+    fam = family(fam)
+    X = fam.check_domain(X)
+    cost = pairwise_cost(fam, X)
     t = X.shape[0]
-    centers = X[rng.choice(t, size=d, replace=False)].copy()
-    logq = np.full(d, -np.log(d))
-    prev = -np.inf
-    trace = []
-    P = np.full((t, d), 1.0 / d)
-    iteration = 0
+    centers = np.stack([X[rng.choice(t, size=d, replace=False)] for rng in rngs])
+    logq = np.full((len(rngs), d), -np.log(d))
+    prev = np.full(len(rngs), -np.inf)
+    live = np.arange(len(rngs))
+    traces = [[] for _ in live]
+    results = [None] * len(traces)
     for iteration in range(1, max_iter + 1):
-        lse, P = softmax_rows(logq[None, :] - cost(centers))
-        ll = float(lse.sum())
-        trace.append(ll)
-        if ll - prev < tol * (1.0 + abs(ll)) and iteration > 1:
-            break
-        prev = ll
-        mass = P.sum(axis=0)
-        logq = np.log(np.maximum(mass, 1e-300)) - np.log(t)
+        lse, P = softmax_rows((logq[live, None, :] - cost(centers[live])).reshape(-1, d))
+        P = P.reshape(live.size, t, d)
+        ll = lse.reshape(live.size, t).sum(axis=1)
+        for r, value in zip(live, ll.tolist()):
+            traces[r].append(value)
+        stop = (ll - prev[live] < tol * (1.0 + np.abs(ll))) & (iteration > 1)
+        go, kept = live[~stop], P[~stop]
+        prev[go] = ll[~stop]
+        mass = kept.sum(axis=1)
+        logq[go] = np.log(np.maximum(mass, 1e-300)) - np.log(t)
         nz = mass > 1e-12
-        centers[nz] = (P.T @ X)[nz] / mass[nz, None]
-    return SoftEmResult(
-        posteriors=P,
-        weights=np.exp(logq),
-        centers=centers,
-        loglik=trace[-1],
-        iterations=iteration,
-        trace=trace,
-    )
+        moved = centers[go]
+        moved[nz] = np.matmul(np.swapaxes(kept, 1, 2), X)[nz] / mass[nz][:, None]
+        centers[go] = moved
+        if iteration == max_iter:
+            stop[:] = True  # cut runs end after their M-step, as a lone run's loop did
+        for i in np.flatnonzero(stop):
+            r = live[i]
+            results[r] = SoftEmResult(P[i], np.exp(logq[r]), centers[r], traces[r][-1],
+                                      iteration, traces[r])
+        live = live[~stop]
+        if not live.size:
+            return results
 
 
 def soft_em_restarts(X, config):
-    fam = family(config.family)
-    X = fam.check_domain(X)
-    cost = pairwise_cost(fam, X)
-    return [
-        _em_once(X, config.d, cost, derived_rng(config.seed, 1, r))
-        for r in range(config.restarts)
-    ]
+    """Mixture EM from each restart's derived generator, as one stack."""
+    rngs = [derived_rng(config.seed, 1, r) for r in range(config.restarts)]
+    return _mixture_em(X, config.d, config.family, rngs)
 
 
 def soft_em(X, config):

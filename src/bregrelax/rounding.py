@@ -8,9 +8,11 @@ polished with alternating minimization (``hard_reopt``, or
 ``joint_hard_reopt`` with cluster log-priors) and scored against ground
 truth with a maximum-weight matching between clusters and classes
 (``soft_accuracy``; ``matched_accuracy`` is soft accuracy on one-hot
-labels).  k-means and both polishers are one Lloyd loop (``lloyd``):
-Lloyd's alternation is the same algorithm under every Bregman divergence
-(Banerjee et al., JMLR 2005), and k-means is its squared-euclidean case.
+labels).  k-means, both polishers and the ``alt-hard`` baseline are one
+Lloyd loop (``lloyd``): Lloyd's alternation is the same algorithm under
+every Bregman divergence (Banerjee et al., JMLR 2005), and k-means is its
+squared-euclidean case.  The loop advances a stack of starts together,
+one cost evaluation per sweep; a single start is a stack of one.
 """
 
 import warnings
@@ -45,97 +47,106 @@ class ClusteringResult:
 
 
 def cluster_means(X, labels, d):
-    """Per-cluster means and counts; empty clusters get zero rows."""
-    t = X.shape[0]
-    onehot = np.zeros((t, d))
-    onehot[np.arange(t), labels] = 1.0
-    counts = onehot.sum(axis=0)
+    """Per-cluster means and counts of labels (t,) or of a stack (R, t).
+
+    Empty clusters get zero rows.  A stack's means are one stacked matmul,
+    (R, d, t) @ (t, n): each labeling's means bit for bit.
+    """
+    onehot = np.eye(d)[labels]  # (..., t, d)
+    counts = onehot.sum(axis=-2)
     safe = np.where(counts > 0, counts, 1.0)
-    centers = (onehot.T @ X) / safe[:, None]
+    centers = np.matmul(np.swapaxes(onehot, -1, -2), X) / safe[..., None]
     return centers, counts
 
 
 def _fill_empty(X, labels, centers, fam):
     """Move the point farthest from its own center into each empty cluster.
 
-    Moving the point, not just a center, keeps every log-prior finite.  One
-    point per cluster in turn, evaluating live centers only (empty rows may
-    sit outside the domain).
+    Labels (t,) with centers (d, n), or stacks (R, t) and (R, d, n).
+    Moving the point, not just a center, keeps every log-prior finite.
+    One point per cluster in turn, evaluating live centers only (empty
+    rows may sit outside the domain).
     """
-    counts = np.bincount(labels, minlength=centers.shape[0])
+    (t, n), d = X.shape, centers.shape[-2]
+    stack, centers = labels.reshape(-1, t), centers.reshape(-1, d, n)
+    offsets = d * np.arange(stack.shape[0])[:, None]
+    counts = np.bincount((stack + offsets).ravel(), minlength=offsets.size * d).reshape(-1, d)
     if counts.min() > 0:
         return labels
-    live = np.flatnonzero(counts)
-    own = pairwise_divergence(fam, X, centers[live])
-    div = own[np.arange(X.shape[0]), np.searchsorted(live, labels)]
-    labels = labels.copy()
-    for j in np.flatnonzero(counts == 0):
-        p = int(np.argmax(div))
-        labels[p] = j
-        div[p] = -np.inf
-    return labels
+    stack = stack.copy()
+    for r in np.flatnonzero(counts.min(axis=1) == 0):
+        live = np.flatnonzero(counts[r])
+        own = pairwise_divergence(fam, X, centers[r, live])
+        div = own[np.arange(t), np.searchsorted(live, stack[r])]
+        for j in np.flatnonzero(counts[r] == 0):
+            p = int(np.argmax(div))
+            stack[r, p] = j
+            div[p] = -np.inf
+    return stack.reshape(labels.shape)
 
 
 def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
-    """Lloyd's alternation under divergence ``fam``, starting from labels0.
+    """Lloyd's alternation under divergence ``fam`` from an (R, t) stack of starts.
 
-    Each sweep fits the means of the current labels (with ``log_prior``
-    also log-priors w = log(counts / t), else w = 0), records the objective
-    sum_i [D_F(x_i, mu_{y_i}) - w_{y_i}] (a prior objective's t lse(w) is
-    0, as exp(w) sums to 1), then moves each point to
-    argmin_j [D_F(x_i, mu_j) - w_j].  Means minimize a Bregman divergence
-    sum, so without priors the trace never increases.  A cluster left
-    empty takes the point farthest from its own center.  Stops at a fixed
-    point or after ``max_iter`` sweeps; the returned centers, weights and
-    objective belong to the returned labels.  The data half of the cost
-    (``pairwise_cost``) is built once per call.
+    Returns R ClusteringResults.  Each sweep fits the means of every live
+    start (with ``log_prior`` also log-priors w = log(counts / t), else
+    w = 0), evaluates all their costs in one ``pairwise_cost`` call,
+    records each objective sum_i [D_F(x_i, mu_{y_i}) - w_{y_i}] (a prior
+    objective's t lse(w) is 0, as exp(w) sums to 1), then moves each point
+    to argmin_j [D_F(x_i, mu_j) - w_j].  Without priors a trace never
+    increases.  A cluster left empty takes the point farthest from its
+    own center.  A start leaves the stack at its own fixed point, or after
+    ``max_iter`` sweeps; its centers, weights and objective belong to its
+    returned labels.  ``d`` is at least the largest label plus one.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     fam = family(fam)
     X = fam.check_domain(X)
-    labels = np.asarray(labels0, dtype=int).ravel().copy()
+    labels = np.array(labels0, dtype=int, ndmin=2)
     t = X.shape[0]
-    if labels.shape[0] != t:
-        raise ValueError(f"labels0 has {labels.shape[0]} entries for {t} points")
+    if labels.ndim != 2 or labels.shape[1] != t:
+        raise ValueError(f"labels0 has {labels.shape[-1]} entries for {t} points")
     if labels.min() < 0:
         raise ValueError("labels0 must be nonnegative")
     d = max(int(labels.max()) + 1, d or 0)
     labels = _fill_empty(X, labels, cluster_means(X, labels, d)[0], fam)
-    rows = np.arange(t)
     cost_of = pairwise_cost(fam, X)
-    weights = None
-    trace = []
+    live = np.arange(labels.shape[0])
+    traces = [[] for _ in live]
+    results = [None] * len(traces)
     for iteration in range(1, max_iter + 1):
-        centers, counts = cluster_means(X, labels, d)
+        current = labels[live]
+        centers, counts = cluster_means(X, current, d)
         cost = cost_of(centers)
+        weights = None
         if log_prior:
             weights = np.log(counts / t)
-            cost = cost - weights[None, :]
-        trace.append(float(cost[rows, labels].sum()))
-        if iteration == max_iter:
-            break
-        new_labels = _fill_empty(X, cost.argmin(axis=1), centers, fam)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    return ClusteringResult(
-        labels=labels,
-        centers=centers,
-        objective=trace[-1],
-        iterations=iteration,
-        weights=weights,
-        trace=trace,
-    )
+            cost = cost - weights[:, None, :]
+        objective = cost[np.arange(live.size)[:, None], np.arange(t), current].sum(axis=1)
+        for r, value in zip(live, objective.tolist()):
+            traces[r].append(value)
+        moved = current
+        if iteration < max_iter:
+            moved = _fill_empty(X, cost.argmin(axis=2), centers, fam)
+        done = np.all(moved == current, axis=1)
+        for i in np.flatnonzero(done):
+            r = live[i]
+            results[r] = ClusteringResult(labels[r], centers[i], traces[r][-1], iteration,
+                                          None if weights is None else weights[i], traces[r])
+        labels[live[~done]] = moved[~done]
+        live = live[~done]
+        if not live.size:
+            return results
 
 
 def hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
     """Alternating minimization of sum_i D_F(x_i, mu_{y_i}) from labels0.
 
-    Classic two-block descent (``lloyd`` without priors): cluster means
-    given labels, nearest center in divergence given means.
+    Classic two-block descent (``lloyd`` without priors, one start):
+    cluster means given labels, nearest center in divergence given means.
     """
-    return lloyd(X, labels0, fam, max_iter, d)
+    return lloyd(X, [np.ravel(labels0)], fam, max_iter, d)[0]
 
 
 def joint_hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
@@ -145,9 +156,9 @@ def joint_hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
     argmax_j [w_j - D_F(x_i, mu_j)].  The objective
     sum_i [-w_{y_i} + D_F(x_i, mu_{y_i})] + t * lse(w), whose last term is
     0 at the fitted w, rewards skewed cluster sizes relative to plain
-    alternating minimization.
+    alternating minimization (``lloyd`` with priors, one start).
     """
-    return lloyd(X, labels0, fam, max_iter, d, log_prior=True)
+    return lloyd(X, [np.ravel(labels0)], fam, max_iter, d, log_prior=True)[0]
 
 
 def _kmeans_pp(X, k, rng):
@@ -178,7 +189,7 @@ def kmeans(X, k, rng=None, max_iter=300):
     X = np.asarray(X, dtype=float)
     seeds = _kmeans_pp(X, k, rng)
     labels0 = pairwise_divergence("euclidean", X, seeds).argmin(axis=1)
-    res = lloyd(X, labels0, "euclidean", max_iter, k)
+    res = lloyd(X, [labels0], "euclidean", max_iter, k)[0]
     return res.labels, res.centers, 2.0 * res.objective
 
 

@@ -345,6 +345,27 @@ def test_experiment_spec_rejects_clusters_below_two(clusters):
         ExperimentSpec(dataset="x.csv", model="cond", clusters=clusters)
 
 
+@pytest.mark.parametrize("model", ["alt-hard", "soft-em", "cond"])
+def test_run_experiment_fails_a_cell_with_more_clusters_than_points(tmp_path, model):
+    # 20 singleton clusters of 16 points would score 0 (or fail inside EM)
+    p = tmp_path / "blobs.csv"
+    write_blobs(p)
+    spec = ExperimentSpec(dataset=str(p), model=model, label_column="label", clusters=20)
+    with pytest.raises(ValueError, match="clusters=20 exceeds the t=16 points"):
+        run_experiment(spec)
+    records, failures = run_grid([spec])
+    assert records == [] and "clusters=20" in failures[0][1]
+    assert run_experiment(replace(spec, model="alt-hard", clusters=16)).clusters == 16
+
+
+def test_cli_solve_rejects_more_clusters_than_points(tmp_path):
+    p = tmp_path / "blobs.csv"
+    write_blobs(p)
+    with pytest.raises(ValueError, match="clusters=17 exceeds the t=16 points"):
+        main(["solve", "--data", str(p), "--model", "alt-hard", "--label-col", "label",
+              "--clusters", "17"])
+
+
 @pytest.mark.parametrize("subsample", [0, -5])
 def test_experiment_spec_rejects_subsample_below_one(subsample):
     # keeping every point is asked for with None, never with 0

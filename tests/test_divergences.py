@@ -206,10 +206,28 @@ def test_pairwise_cost_validates_every_center_matrix(rng):
     cost = pairwise_cost("bernoulli", rng.uniform(0.1, 0.9, size=(5, 3)))
     with pytest.raises(DomainError):
         cost(np.array([[0.5, 1.5, 0.5]]))
-    with pytest.raises(ValueError, match="incompatible"):
-        cost(np.full((2, 4), 0.5))
+    for shape in ((3,), (2, 2, 2, 3), (2, 4), (2, 2, 4)):  # rank 1 or 4, or the wrong width
+        with pytest.raises(ValueError, match="incompatible"):
+            cost(np.full(shape, 0.5))
     with pytest.raises(ValueError, match="2-d"):
         pairwise_cost("euclidean", np.zeros(3))
+
+
+@pytest.mark.parametrize("name", ["euclidean", "bernoulli"])
+@pytest.mark.parametrize("n", [2, 9, 57])
+def test_stacked_pairwise_cost_is_each_set_alone_bit_for_bit(rng, name, n):
+    # every set of the stack gets the BLAS product it gets alone; at
+    # n = 57 and t = 60 one flat GEMM over the whole stack rounds differently
+    draw = rng.normal if name == "euclidean" else lambda size: rng.uniform(0.02, 0.98, size)
+    X = draw(size=(60, n))
+    cost = pairwise_cost(name, X)
+    for k in (2, 3, 5):
+        for R in (1, 3, 30):
+            C = draw(size=(R, k, n))
+            stacked = cost(C)
+            assert stacked.shape == (R, 60, k)
+            for r in range(R):
+                assert np.array_equal(stacked[r], cost(C[r]))
 
 
 def test_logsumexp_value_grad_stability():

@@ -28,14 +28,14 @@ from bregrelax import (
     spectral_round,
 )
 from bregrelax import bench, models
-from bregrelax.divergences import pairwise_cost
 from bregrelax.models import (
     _cond_problem,
     _disc_problem,
     _disc_terms,
-    _em_once,
     _joint_problem,
     _joint_terms,
+    _mixture_em,
+    alternating_restarts,
     soft_em_restarts,
 )
 
@@ -46,6 +46,7 @@ from conftest import (
     exhaustive_hard_optimum,
     finite_difference_gradient,
     indicator,
+    lloyd_reference,
     planted_bernoulli,
     planted_euclidean,
 )
@@ -663,11 +664,14 @@ def test_baselines_sum_the_data_potential_once_per_call(monkeypatch, fam_name):
 
 @pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
 def test_em_matches_the_per_sweep_oracle_bit_for_bit(fam_name):
+    # one stack over the seeds' generators must give, run by run, what a
+    # fresh pairwise_divergence gives in every sweep of a lone run
     X = np.random.default_rng(11).uniform(0.02, 0.98, size=(45, 4))
-    cost = pairwise_cost(fam_name, X)
-    for seed in range(6):
-        for max_iter in (2, 300):
-            res = _em_once(X, 3, cost, np.random.default_rng(seed), max_iter)
+    for max_iter in (2, 300):
+        rngs = [np.random.default_rng(seed) for seed in range(6)]
+        results = _mixture_em(X, 3, fam_name, rngs, max_iter)
+        assert len(results) == len(rngs)
+        for seed, res in enumerate(results):
             P, weights, centers, trace, iterations = em_reference(
                 X, 3, fam_name, np.random.default_rng(seed), max_iter
             )
@@ -676,6 +680,46 @@ def test_em_matches_the_per_sweep_oracle_bit_for_bit(fam_name):
             assert np.array_equal(res.centers, centers)
             assert res.trace == trace and res.loglik == trace[-1]
             assert res.iterations == iterations
+    assert len({res.iterations for res in results}) > 1  # runs stop at different sweeps
+
+
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_baseline_restarts_are_lone_oracle_runs_on_the_derived_generators(fam_name):
+    X = np.random.default_rng(7).uniform(0.02, 0.98, size=(50, 3))
+    config = ModelConfig(d=3, restarts=7, seed=5, family=fam_name)
+    for r, res in enumerate(alternating_restarts(X, config)):
+        labels0 = derived_rng(5, 0, r).integers(0, 3, size=50)
+        labels, centers, _, trace, iterations = lloyd_reference(X, labels0, fam_name, 200, 3)
+        assert np.array_equal(res.labels, labels) and np.array_equal(res.centers, centers)
+        assert res.trace == trace and res.iterations == iterations
+    for r, res in enumerate(soft_em_restarts(X, config)):
+        P, weights, centers, trace, iterations = em_reference(X, 3, fam_name,
+                                                              derived_rng(5, 1, r))
+        assert np.array_equal(res.posteriors, P) and np.array_equal(res.weights, weights)
+        assert np.array_equal(res.centers, centers)
+        assert res.trace == trace and res.iterations == iterations
+
+
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_cond_objective_scores_a_stack_as_each_labeling_alone(fam_name):
+    # label maxima differ across the stack, [0, 2] leaves cluster 1 empty,
+    # and at 300 x 32 BLAS rounds a mean or cross term fitted with more
+    # clusters than the labeling's own differently
+    rng = np.random.default_rng(3)
+    t = 300
+    X = rng.uniform(0.05, 0.95, size=(t, 32))
+    stack = np.stack([rng.integers(0, 2, size=t), rng.integers(0, 5, size=t),
+                      2 * rng.integers(0, 2, size=t), rng.integers(0, 4, size=t),
+                      np.zeros(t, dtype=int)])
+    values = cond_objective(X, stack, fam_name)
+    assert values.shape == (5,)
+    for labels, value in zip(stack, values):
+        alone = cond_objective(X, labels, fam_name)
+        assert type(alone) is float and alone == value
+    with pytest.raises(ValueError, match="one per point"):
+        cond_objective(X, stack[:, :20], fam_name)
+    with pytest.raises(ValueError, match="one per point"):
+        cond_objective(X, stack[None], fam_name)
 
 
 def test_models_tuple_is_public():

@@ -294,6 +294,8 @@ def test_hard_reopt_label_validation(rng):
     X = rng.normal(size=(5, 2))
     with pytest.raises(ValueError, match="entries"):
         hard_reopt(X, [0, 1, 0])
+    with pytest.raises(ValueError, match="entries"):
+        lloyd(X, np.zeros((3, 4), dtype=int))  # a stack of starts of the wrong width
     with pytest.raises(ValueError, match="nonnegative"):
         hard_reopt(X, [0, -1, 0, 1, 1])
 
@@ -347,18 +349,20 @@ def test_lloyd_rejects_max_iter_below_one(rng, run):
 @pytest.mark.parametrize("log_prior", [False, True])
 @pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
 def test_lloyd_matches_the_per_sweep_oracle_bit_for_bit(fam_name, log_prior):
-    # the cost built once per call must give what a fresh
-    # pairwise_divergence gives in every sweep, empty-cluster starts included
-    sweeps = 0
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        if fam_name == "euclidean":
-            X = rng.normal(size=(40, 3))
-        else:
-            X = rng.uniform(0.02, 0.98, size=(40, 3))
-        labels0 = rng.integers(0, 3 if seed % 2 else 4, size=40)
-        for max_iter in (2, 200):
-            res = lloyd(X, labels0, fam_name, max_iter, 4, log_prior)
+    # one stack of starts must give, start by start, what a fresh
+    # pairwise_divergence gives in every sweep of a lone run; odd seeds
+    # start with cluster 3 empty, and the starts stop at different sweeps
+    rng = np.random.default_rng(0)
+    if fam_name == "euclidean":
+        X = rng.normal(size=(40, 3))
+    else:
+        X = rng.uniform(0.02, 0.98, size=(40, 3))
+    starts = [np.random.default_rng(seed).integers(0, 3 if seed % 2 else 4, size=40)
+              for seed in range(8)]
+    for max_iter in (2, 200):
+        results = lloyd(X, starts, fam_name, max_iter, 4, log_prior)
+        assert len(results) == len(starts)
+        for res, labels0 in zip(results, starts):
             labels, centers, weights, trace, iterations = lloyd_reference(
                 X, labels0, fam_name, max_iter, 4, log_prior
             )
@@ -368,8 +372,8 @@ def test_lloyd_matches_the_per_sweep_oracle_bit_for_bit(fam_name, log_prior):
             assert res.trace == trace
             assert res.objective == trace[-1]
             assert res.iterations == iterations
-            sweeps += iterations
-    assert sweeps > 16 * 3  # most runs go several sweeps past the first
+    sweeps = [res.iterations for res in results]
+    assert len(set(sweeps)) > 2 and sum(sweeps) > 8 * 3
 
 
 # ---------------------------------------------------------- spectral rounding
