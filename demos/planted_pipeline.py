@@ -53,7 +53,7 @@ for model in ("cond-jc", "cond", "joint", "disc"):
     sol = solve_relaxation(model, data, cfg)
     rounded = spectral_round(sol.M, d, rng=np.random.default_rng(1))
     polished = hard_reopt(data, rounded.labels, fam)
-    acc = matched_accuracy(polished.labels, truth)[0]
+    acc = matched_accuracy(polished.labels, truth)
     line = (f"{model:8s} relaxed={sol.objective:10.6f}  "
             f"hard={polished.objective:10.6f}  accuracy={acc:.2f}")
     if model == "cond-jc":

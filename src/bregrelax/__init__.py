@@ -41,7 +41,6 @@ from .divergences import (
     BERNOULLI_CLIP,
     DomainError,
     conjugate_divergence,
-    divergence,
     family,
     pairwise_divergence,
 )

@@ -388,7 +388,7 @@ def run_experiment(spec, parsed=None):
             )
             if spec.model == "joint":
                 polished = joint_hard_reopt(X, rounded.labels, fam, d=d)
-                softs.append(soft_accuracy(_joint_posteriors(X, polished, fam), truth)[0])
+                softs.append(soft_accuracy(_joint_posteriors(X, polished, fam), truth))
             else:
                 polished = hard_reopt(X, rounded.labels, fam, d=d)
             assignments.append(polished.labels)
@@ -399,11 +399,11 @@ def run_experiment(spec, parsed=None):
     else:  # soft-em
         runs = soft_em_restarts(X, config)
         assignments = [res.posteriors.argmax(axis=1) for res in runs]
-        softs = [soft_accuracy(res.posteriors, truth)[0] for res in runs]
+        softs = [soft_accuracy(res.posteriors, truth) for res in runs]
         iterations = max(res.iterations for res in runs)
 
     objs = cond_objective(X, assignments, fam).tolist()
-    accs = [matched_accuracy(labels, truth)[0] for labels in assignments]
+    accs = [matched_accuracy(labels, truth) for labels in assignments]
     seconds = time.perf_counter() - start
     record = ResultRecord(
         dataset=ds.name, t=ds.t, n=ds.n, model=spec.model, transfer=spec.transfer, clusters=d,
@@ -556,5 +556,5 @@ def score_assignments(data_path, assignment_path, transfer="linear", label_colum
     return {
         "repeats": len(rows),
         **_summary(obj=cond_objective(ds.X, rows, fam).tolist(),
-                   acc=[matched_accuracy(row, ds.labels)[0] for row in rows]),
+                   acc=[matched_accuracy(row, ds.labels) for row in rows]),
     }

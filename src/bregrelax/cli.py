@@ -183,8 +183,8 @@ def cmd_solve(args):
             labels = soft_em(ds.X, cfg).posteriors.argmax(axis=1)
         # the hard objective of the labeling, the figure bench scores
         objective = cond_objective(ds.X, labels, cfg.family)
-        acc, _ = matched_accuracy(labels, ds.labels)
-        summary.update(objective=objective, accuracy=acc, restarts=cfg.restarts)
+        summary.update(objective=objective, accuracy=matched_accuracy(labels, ds.labels),
+                       restarts=cfg.restarts)
         if spec.out:
             bench.write_cell_files(spec.out, spec.cell_name(), assignments=[labels])
             summary["out"] = str(Path(spec.out))
@@ -230,6 +230,8 @@ def cmd_table(args):
 
 
 def main(argv=None):
+    """Run one command.  Bad input (a ValueError, such as a ParseError or
+    DomainError, or an OSError) exits with status 1 and a one-line message."""
     args = build_parser().parse_args(argv)
     handlers = {
         "solve": cmd_solve,
@@ -237,7 +239,10 @@ def main(argv=None):
         "score": cmd_score,
         "table": cmd_table,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"bregrelax {args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

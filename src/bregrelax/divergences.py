@@ -10,12 +10,13 @@ f_inv = grad of the convex conjugate maps back, and the two divergences
 satisfy D_F(x, y) = D_F*(f(y), f(x)).  Two families ship: ``euclidean``
 (F = x^2/2, transfer = identity) and ``bernoulli`` (F = x log x +
 (1-x) log(1-x), transfer = logit, conjugate = softplus).  The primal
-divergence (summed or per row) and the dual one share one entrywise
-kernel; ``pairwise_cost`` expands it for every pair of rows.  It sums the
-data's potential once, so hot loops (Lloyd, EM) build it once per dataset
-and call it with each sweep's stack of center sets; ``pairwise_divergence``
-is its one-shot form.  No other module evaluates a divergence or knows a
-family's domain.  ``softmax_rows`` is the package's one normalization in
+divergence of paired rows (``row_divergence``) and the summed dual one
+(``conjugate_divergence``) share one entrywise kernel; ``pairwise_cost``
+expands it for every pair of rows.  It sums the data's potential once,
+so hot loops (Lloyd, EM) build it once per dataset and call it with each
+sweep's stack of center sets; ``pairwise_divergence`` is its one-shot
+form.  No other module evaluates a divergence or knows a family's
+domain.  ``softmax_rows`` is the package's one normalization in
 log space: EM's E-step, ``disc``'s self-classification loss, ``joint``'s
 prior block and the scorer's posteriors all call it.
 """
@@ -139,20 +140,6 @@ def family(name):
 def _bregman_terms(G, g, a, b):
     """Entrywise G(a) - G(b) - (a - b) g(b): the one Bregman kernel."""
     return G(a) - G(b) - (a - b) * g(b)
-
-
-def divergence(fam, x, y):
-    """Primal divergence D_F(x, y), summed over all entries of equal-shape arrays.
-
-    For matrices this is the sum of D_F over paired rows.
-    """
-    fam = family(fam)
-    x = fam.check_domain(x)
-    y = fam.check_domain(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    val = np.sum(_bregman_terms(fam.potential, fam.transfer, x, y))
-    return max(float(val), 0.0)
 
 
 def row_divergence(fam, X, Y):

@@ -140,7 +140,7 @@ def solve_cond_jc(X, config):
         converged=res.converged,
         iterations=res.iterations,
         trace=res.trace,
-        auxiliaries={"Z": res.Z, "multiplier": res.multiplier, "mu": res.mu},
+        auxiliaries={"Z": res.Z, "multiplier": res.multiplier},
     )
 
 
@@ -412,7 +412,9 @@ def _mixture_em(X, d, fam, rngs, max_iter=300, tol=1e-9):
 
     Each sweep evaluates every live run's cost in one ``pairwise_cost``
     call and its E-step in one ``softmax_rows`` call; a run leaves the
-    stack at its own tolerance stop.  Returns one SoftEmResult per run.
+    stack at its own tolerance stop or at ``max_iter``, before its M-step,
+    so its posteriors belong to its weights and centers.  Returns one
+    SoftEmResult per run.
     """
     fam = family(fam)
     X = fam.check_domain(X)
@@ -431,6 +433,7 @@ def _mixture_em(X, d, fam, rngs, max_iter=300, tol=1e-9):
         for r, value in zip(live, ll.tolist()):
             traces[r].append(value)
         stop = (ll - prev[live] < tol * (1.0 + np.abs(ll))) & (iteration > 1)
+        stop |= iteration == max_iter
         go, kept = live[~stop], P[~stop]
         prev[go] = ll[~stop]
         mass = kept.sum(axis=1)
@@ -439,8 +442,6 @@ def _mixture_em(X, d, fam, rngs, max_iter=300, tol=1e-9):
         moved = centers[go]
         moved[nz] = np.matmul(np.swapaxes(kept, 1, 2), X)[nz] / mass[nz][:, None]
         centers[go] = moved
-        if iteration == max_iter:
-            stop[:] = True  # cut runs end after their M-step, as a lone run's loop did
         for i in np.flatnonzero(stop):
             r = live[i]
             results[r] = SoftEmResult(P[i], np.exp(logq[r]), centers[r], traces[r][-1],

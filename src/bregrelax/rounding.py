@@ -140,16 +140,16 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
             return results
 
 
-def hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
+def hard_reopt(X, labels0, fam="euclidean", d=None):
     """Alternating minimization of sum_i D_F(x_i, mu_{y_i}) from labels0.
 
     Classic two-block descent (``lloyd`` without priors, one start):
     cluster means given labels, nearest center in divergence given means.
     """
-    return lloyd(X, [np.ravel(labels0)], fam, max_iter, d)[0]
+    return lloyd(X, [np.ravel(labels0)], fam, d=d)[0]
 
 
-def joint_hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
+def joint_hard_reopt(X, labels0, fam="euclidean", d=None):
     """Alternating minimization of the prior-aware hard objective.
 
     Blocks: cluster weights w = log(counts / t), means, and MAP labels
@@ -158,7 +158,7 @@ def joint_hard_reopt(X, labels0, fam="euclidean", max_iter=200, d=None):
     0 at the fitted w, rewards skewed cluster sizes relative to plain
     alternating minimization (``lloyd`` with priors, one start).
     """
-    return lloyd(X, [np.ravel(labels0)], fam, max_iter, d, log_prior=True)[0]
+    return lloyd(X, [np.ravel(labels0)], fam, d=d, log_prior=True)[0]
 
 
 def _kmeans_pp(X, k, rng):
@@ -177,20 +177,18 @@ def _kmeans_pp(X, k, rng):
     return centers
 
 
-def kmeans(X, k, rng=None, max_iter=300):
+def kmeans(X, k, rng=None):
     """Lloyd iterations from a kmeans++ seeding.
 
-    Returns (labels, centers, inertia) where inertia is the summed squared
-    distance to assigned centers.  The loop is ``lloyd`` under the
-    euclidean family, started from the nearest-seed assignment; its
-    divergence is half the squared distance, hence inertia = 2 * objective.
+    The loop is ``lloyd`` under the euclidean family, started from the
+    nearest-seed assignment; returns its ClusteringResult, whose objective
+    is half the summed squared distance to the assigned centers.
     """
     rng = np.random.default_rng(rng)
     X = np.asarray(X, dtype=float)
     seeds = _kmeans_pp(X, k, rng)
     labels0 = pairwise_divergence("euclidean", X, seeds).argmin(axis=1)
-    res = lloyd(X, [labels0], "euclidean", max_iter, k)[0]
-    return res.labels, res.centers, 2.0 * res.objective
+    return lloyd(X, [labels0], "euclidean", max_iter=300, d=k)[0]
 
 
 def spectral_embedding(M, d, eigenpairs=None):
@@ -227,28 +225,22 @@ def spectral_embedding(M, d, eigenpairs=None):
 def spectral_round(M, d, restarts=10, rng=None, embedding=None):
     """Round a relaxed equivalence matrix to d clusters.
 
-    Embeds with the top eigenvectors, normalizes rows, and keeps the best
-    of ``restarts`` k-means runs by inertia (at least one; fewer raise
-    ValueError).  Pass ``embedding`` to reuse a precomputed embedding
-    across calls.
+    Embeds with the top eigenvectors, normalizes rows, and returns the
+    ``kmeans`` result of lowest objective (half the inertia; the first on
+    ties) of ``restarts`` runs (at least one; fewer raise ValueError).
+    Pass ``embedding`` to reuse a precomputed embedding across calls.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     rng = np.random.default_rng(rng)
     V = spectral_embedding(M, d) if embedding is None else embedding
-    best = None
-    for _ in range(restarts):
-        labels, centers, inertia = kmeans(V, d, rng)
-        if best is None or inertia < best.objective:
-            best = ClusteringResult(labels, centers, inertia, iterations=1)
-    return best
+    return min((kmeans(V, d, rng) for _ in range(restarts)), key=lambda res: res.objective)
 
 
 def matched_accuracy(pred, truth):
     """Fraction of points whose cluster maps to their class under the best
     one-to-one matching (rectangular case handled by leaving extras
-    unmatched).  Returns (accuracy, matching dict cluster -> class).
-    No points or negative labels raise ValueError.
+    unmatched).  No points or negative labels raise ValueError.
     """
     pred = np.asarray(pred, dtype=int).ravel()
     truth = np.asarray(truth, dtype=int).ravel()
@@ -265,9 +257,8 @@ def soft_accuracy(posteriors, truth):
     """Matching-based accuracy for soft assignments.
 
     Credit for point i under matching pi is its posterior mass on
-    pi(class_i); the matching maximizes the total credit.  Returns
-    (value, matching dict cluster -> class) like ``matched_accuracy``.
-    No points, negative class labels, negative or non-finite posterior
+    pi(class_i); returns the best matching's credit per point.  No
+    points, negative class labels, negative or non-finite posterior
     entries and rows that do not sum to one raise ValueError.
     """
     P = np.asarray(posteriors, dtype=float)
@@ -287,5 +278,4 @@ def soft_accuracy(posteriors, truth):
         raise ValueError("posterior entries must be nonnegative")
     table = P.T @ np.eye(truth.max() + 1)[truth]
     rows, cols = scipy.optimize.linear_sum_assignment(table, maximize=True)
-    matching = {int(r): int(cc) for r, cc in zip(rows, cols)}
-    return float(table[rows, cols].sum() / truth.size), matching
+    return float(table[rows, cols].sum() / truth.size)

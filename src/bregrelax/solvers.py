@@ -33,12 +33,7 @@ from .geometry import project_rowsum, simplex_project_rows
 
 
 class SolverDivergence(RuntimeError):
-    """Non-finite objective or gradient encountered; carries the iterate."""
-
-    def __init__(self, message, iterate=None, iteration=None):
-        self.iterate = iterate
-        self.iteration = iteration
-        super().__init__(message)
+    """A solve met a non-finite objective or gradient, or a stalled inner solve."""
 
 
 @dataclass
@@ -181,7 +176,7 @@ def gcg_line_search(loss, T, S, s, alpha):
     keep, atom = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     at_keep, at_atom = phi(keep), phi(atom)
     if not np.isfinite(at_atom[0]):
-        raise SolverDivergence("non-finite loss at the conditional-gradient atom", iterate=T)
+        raise SolverDivergence("non-finite loss at the conditional-gradient atom")
     p, (f, g, H) = (atom, at_atom) if at_atom[0] < at_keep[0] else (keep, at_keep)
     for _ in range(50):
         x, drop = _quadrant_newton(p, g, H)
@@ -237,8 +232,7 @@ def gcg_minimize(loss, alpha, d, tol=1e-6, max_iter=1000):
     def gap_and_atom(T, s, f, G, iteration):
         """The gap at (T, s) and the unit atom at G; (0, None) when G = 0."""
         if not np.isfinite(f) or not np.all(np.isfinite(G)):
-            raise SolverDivergence(f"non-finite loss or gradient at iteration {iteration}",
-                                   iterate=T, iteration=iteration)
+            raise SolverDivergence(f"non-finite loss or gradient at iteration {iteration}")
         dual = cluster_norm_dual(G, d)
         if dual <= 1e-300:
             return 0.0, None
@@ -288,7 +282,7 @@ def rowwise_objective(fam, X, M):
     vals = row_divergence(fam, X, fam.clamp(M @ X))
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise SolverDivergence(f"non-finite objective at row {bad}", iterate=M)
+        raise SolverDivergence(f"non-finite objective at row {bad}")
     return float(max(np.sum(vals), 0.0))
 
 
@@ -327,7 +321,7 @@ def _admm_rows_pg(fam, X, M, anchors, mu, lip, eta):
     vals = row_values(M, np.arange(t))
     if not np.all(np.isfinite(vals)):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise SolverDivergence(f"non-finite row objective at row {bad}", iterate=M)
+        raise SolverDivergence(f"non-finite row objective at row {bad}")
     fixed = lip is not None
     if fixed:
         eta = np.full(t, 1.0 / (lip + 1.0 / mu))
@@ -367,11 +361,8 @@ class AdmmResult:
     Z: np.ndarray
     multiplier: np.ndarray
     objective: float
-    primal_residual: float
-    dual_residual: float
     iterations: int
     converged: bool
-    mu: float
     trace: list = field(default_factory=list)
 
 
@@ -413,7 +404,6 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
     Lam = np.zeros((t, t))
     threshold = tol * np.sqrt(t)
     trace = []
-    primal = dual = float("inf")
     iteration = 0
     converged = False
     mu = ADMM_MU0
@@ -463,10 +453,7 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
         Z=Z,
         multiplier=Lam,
         objective=objective,
-        primal_residual=primal,
-        dual_residual=dual,
         iterations=iteration,
         converged=converged,
-        mu=mu,
         trace=trace,
     )

@@ -275,7 +275,7 @@ def em_reference(X, d, fam, rng, max_iter=300, tol=1e-9):
         lse, P = row_softmax(logq[None, :] - pairwise_divergence(fam, X, centers))
         ll = float(lse.sum())
         trace.append(ll)
-        if ll - prev < tol * (1.0 + abs(ll)) and iteration > 1:
+        if (ll - prev < tol * (1.0 + abs(ll)) and iteration > 1) or iteration == max_iter:
             break
         prev = ll
         mass = P.sum(axis=0)

@@ -206,9 +206,9 @@ def test_run_experiment_alt_hard_planted(tmp_path):
     # best restart by objective must recover the planted partition
     ds = preprocess(load_dataset(p, label_column="label"), "linear")
     objs = [cond_objective(ds.X, a) for a in rec.assignments]
-    accs = [matched_accuracy(a, ds.labels)[0] for a in rec.assignments]
+    accs = [matched_accuracy(a, ds.labels) for a in rec.assignments]
     best = rec.assignments[int(np.argmin(objs))]
-    assert matched_accuracy(best, ds.labels)[0] == 1.0
+    assert matched_accuracy(best, ds.labels) == 1.0
     assert rec.obj_mean == pytest.approx(np.mean(objs), rel=1e-12)
     assert rec.acc_mean == pytest.approx(np.mean(accs), rel=1e-12)
 
@@ -361,9 +361,18 @@ def test_run_experiment_fails_a_cell_with_more_clusters_than_points(tmp_path, mo
 def test_cli_solve_rejects_more_clusters_than_points(tmp_path):
     p = tmp_path / "blobs.csv"
     write_blobs(p)
-    with pytest.raises(ValueError, match="clusters=17 exceeds the t=16 points"):
+    # bad input ends in one line on stderr and exit status 1, not a traceback
+    with pytest.raises(SystemExit, match="^bregrelax solve: clusters=17 exceeds the t=16 points"):
         main(["solve", "--data", str(p), "--model", "alt-hard", "--label-col", "label",
               "--clusters", "17"])
+
+
+def test_cli_reports_a_missing_data_file(tmp_path):
+    missing = tmp_path / "nowhere.csv"
+    for argv in (["solve", "--model", "alt-hard"],
+                 ["score", "--assignments", str(tmp_path / "assign.csv")]):
+        with pytest.raises(SystemExit, match=f"^bregrelax {argv[0]}: .*nowhere.csv"):
+            main(argv + ["--data", str(missing)])
 
 
 @pytest.mark.parametrize("subsample", [0, -5])
@@ -671,7 +680,7 @@ def test_cli_score_rejects_subsample_below_one(tmp_path, subsample):
     _, labels = write_blobs(p)
     a = tmp_path / "assign.csv"
     a.write_text(",".join(str(v) for v in labels) + "\n")
-    with pytest.raises(ValueError, match="subsample must be at least 1"):
+    with pytest.raises(SystemExit, match="^bregrelax score: subsample must be at least 1"):
         main(["score", "--data", str(p), "--label-col", "label", "--assignments", str(a),
               "--subsample", subsample])
 

@@ -6,11 +6,10 @@ from bregrelax import (
     BERNOULLI_CLIP,
     DomainError,
     conjugate_divergence,
-    divergence,
     family,
     pairwise_divergence,
 )
-from bregrelax.divergences import pairwise_cost, softmax_rows
+from bregrelax.divergences import pairwise_cost, row_divergence, softmax_rows
 from bregrelax.models import _cond_problem
 
 from conftest import finite_difference_gradient
@@ -25,34 +24,39 @@ def test_family_lookup():
         family("poisson")
 
 
+def pair(fam, x, y):
+    """D_F(x, y) of two vectors, from ``pairwise_divergence``."""
+    return float(pairwise_divergence(fam, [x], [y])[0, 0])
+
+
 def test_euclidean_divergence_halved_square():
-    assert divergence("euclidean", [1.0], [0.0]) == pytest.approx(0.5)
+    assert pair("euclidean", [1.0], [0.0]) == pytest.approx(0.5)
 
 
 def test_divergence_zero_at_equal_arguments():
-    assert divergence("bernoulli", [0.5], [0.5]) == 0.0
+    assert pair("bernoulli", [0.5], [0.5]) == 0.0
 
 
 def test_bernoulli_divergence_value():
     # 0.5 ln(4/3) + 0.5 ln(2/3): KL of a fair coin from a 1/4 coin
     want = 0.5 * np.log(0.5 / 0.25) + 0.5 * np.log(0.5 / 0.75)
-    got = divergence("bernoulli", [0.5], [0.25])
+    got = pair("bernoulli", [0.5], [0.25])
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.5 * np.log(4.0 / 3.0), rel=1e-3)
 
 
 def test_divergence_domain_error_reports_index():
     with pytest.raises(DomainError) as err:
-        divergence("bernoulli", [0.5, 1.5], [0.5, 0.5])
+        pair("bernoulli", [0.5, 1.5], [0.5, 0.5])
     assert "1" in str(err.value)
 
 
 def test_bernoulli_boundary_grazing_is_clamped():
     # entries within the clip band are accepted and pulled inside
-    val = divergence("bernoulli", [BERNOULLI_CLIP / 2], [0.5])
+    val = pair("bernoulli", [BERNOULLI_CLIP / 2], [0.5])
     assert np.isfinite(val)
     with pytest.raises(DomainError):
-        divergence("bernoulli", [-1e-3], [0.5])
+        pair("bernoulli", [-1e-3], [0.5])
 
 
 def test_transfer_inverse_roundtrip(rng):
@@ -74,28 +78,30 @@ def test_divergence_nonnegative_zero_iff_equal(rng):
                 x, y = rng.normal(size=4), rng.normal(size=4)
             else:
                 x, y = rng.uniform(0.02, 0.98, size=4), rng.uniform(0.02, 0.98, size=4)
-            val = divergence(fam, x, y)
+            val = pair(fam, x, y)
             assert val >= 0.0
-            assert divergence(fam, x, x) <= 1e-12
+            assert pair(fam, x, x) <= 1e-12
 
 
 def test_divergence_matrix_matches_per_row_sum(rng):
+    # the divergence of paired rows is the diagonal of the pairwise one
+    fam = family("bernoulli")
     X = rng.uniform(0.05, 0.95, size=(3, 2))
     Y = rng.uniform(0.05, 0.95, size=(3, 2))
-    total = sum(divergence("bernoulli", X[i], Y[i]) for i in range(3))
-    assert divergence("bernoulli", X, Y) == pytest.approx(total, rel=1e-12)
-    assert divergence("bernoulli", X, X) == 0.0
+    rows = row_divergence(fam, X, Y)
+    assert rows == pytest.approx([pair(fam, X[i], Y[i]) for i in range(3)], rel=1e-12)
+    assert np.all(row_divergence(fam, X, X) == 0.0)
 
 
 def test_divergence_matrix_euclidean_sum_case():
     X = np.array([[1.0], [0.0]])
     Y = np.zeros((2, 1))
-    assert divergence("euclidean", X, Y) == pytest.approx(0.5)
+    assert np.sum(row_divergence(family("euclidean"), X, Y)) == pytest.approx(0.5)
 
 
 def test_divergence_matrix_shape_mismatch():
     with pytest.raises(ValueError):
-        divergence("euclidean", np.zeros((2, 2)), np.zeros((3, 2)))
+        pairwise_divergence("euclidean", np.zeros((2, 2)), np.zeros((3, 3)))
 
 
 def test_conjugate_identity(rng):
@@ -107,7 +113,7 @@ def test_conjugate_identity(rng):
         else:
             X = rng.uniform(0.05, 0.95, size=(4, 3))
             Y = rng.uniform(0.05, 0.95, size=(4, 3))
-        lhs = divergence(fam, X, Y)
+        lhs = np.sum(row_divergence(fam, X, Y))
         rhs = conjugate_divergence(fam, fam.transfer(Y), fam.transfer(X))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -124,7 +130,7 @@ def test_conjugate_divergence_bernoulli_value():
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.1308, abs=1e-4)
     # swap identity: equals the primal divergence of the sigmoid images
-    assert got == pytest.approx(divergence("bernoulli", [sig], [0.5]), rel=1e-10)
+    assert got == pytest.approx(pair("bernoulli", [sig], [0.5]), rel=1e-10)
 
 
 def test_conjugate_divergence_zero_at_equal(rng):
@@ -177,8 +183,8 @@ def test_joint_midpoint_convexity(rng):
             else:
                 pairs = rng.uniform(0.05, 0.95, size=(4, 5))
                 x1, y1, x2, y2 = pairs[0], pairs[1], pairs[2], pairs[3]
-            mid = divergence(name, (x1 + x2) / 2, (y1 + y2) / 2)
-            avg = 0.5 * divergence(name, x1, y1) + 0.5 * divergence(name, x2, y2)
+            mid = pair(name, (x1 + x2) / 2, (y1 + y2) / 2)
+            avg = 0.5 * pair(name, x1, y1) + 0.5 * pair(name, x2, y2)
             assert mid <= avg + 1e-10
 
 
@@ -189,7 +195,8 @@ def test_pairwise_divergence_matches_loops(rng):
     assert D.shape == (5, 2)
     for i in range(5):
         for j in range(2):
-            assert D[i, j] == pytest.approx(divergence("bernoulli", X[i], C[j]), rel=1e-12)
+            want = np.sum(row_divergence(family("bernoulli"), X[i:i + 1], C[j:j + 1]))
+            assert D[i, j] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["euclidean", "bernoulli"])

@@ -80,3 +80,21 @@ def test_certified_admm_solve_is_certified_for_perfbench(workloads, fam):
     solution = models.solve_relaxation("cond-jc", X, config)
     assert solution.converged
     assert workloads.stop_reason(solution, X, config) == "certified"
+
+
+def test_tracer_reads_every_model_through_run_experiment(tracing, workloads, tmp_path):
+    # the tracer's hooks read result fields (iterations, converged) of the
+    # solvers, bias solves and reoptimizers; one pass over all six models
+    # on a tiny CSV shows each hook still finds what it reads
+    path = workloads.write_csv(workloads.planted(workloads.stream_rng(0, 0, 0), 12, 4),
+                               tmp_path / "planted.csv")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for model in models.MODELS:
+            transfer = "sigmoid" if model == "disc" else "linear"
+            bench.run_experiment(bench.ExperimentSpec(dataset=str(path), model=model,
+                                                      transfer=transfer, max_iter=20))
+    metrics = tracing.layer_metrics(tracer, 0.0, 0.0)
+    for name in ("models.iterations", "solvers.gcg_iterations", "solvers.bias_solves",
+                 "rounding.reopt_iters"):
+        assert metrics[name][0] > 0, name

@@ -48,18 +48,16 @@ def equivalence_of(labels, d):
 def test_matched_accuracy_identical_labels(rng):
     truth = rng.integers(0, 3, size=30)
     truth[:3] = [0, 1, 2]  # every cluster occupied
-    acc, matching = matched_accuracy(truth, truth)
-    assert acc == 1.0
-    assert matching == {0: 0, 1: 1, 2: 2}
+    assert matched_accuracy(truth, truth) == 1.0
 
 
 def test_matched_accuracy_relabel_invariance(rng):
     truth = rng.integers(0, 4, size=50)
     pred = rng.integers(0, 4, size=50)
-    base, _ = matched_accuracy(pred, truth)
+    base = matched_accuracy(pred, truth)
     for _ in range(10):
         perm = rng.permutation(4)
-        assert matched_accuracy(perm[pred], truth)[0] == base
+        assert matched_accuracy(perm[pred], truth) == base
 
 
 def test_matched_accuracy_contingency_example():
@@ -67,9 +65,8 @@ def test_matched_accuracy_contingency_example():
     # class 1, cluster 1 holds 4 of class 1
     pred = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     truth = np.array([0, 0, 0, 1, 1, 1, 1, 1])
-    acc, matching = matched_accuracy(pred, truth)
+    acc = matched_accuracy(pred, truth)
     assert acc == pytest.approx(7.0 / 8.0)
-    assert matching == {0: 0, 1: 1}
     # exhaustive check over both 2x2 matchings
     table = np.zeros((2, 2))
     np.add.at(table, (pred, truth), 1.0)
@@ -80,13 +77,10 @@ def test_matched_accuracy_rectangular():
     # more clusters than classes: the extra cluster stays unmatched
     pred = np.array([0, 0, 1, 1, 2, 2])
     truth = np.array([0, 0, 1, 1, 0, 1])
-    acc, matching = matched_accuracy(pred, truth)
-    assert acc == pytest.approx(4.0 / 6.0)
-    assert matching[0] == 0 and matching[1] == 1 and 2 not in matching
-    # more classes than clusters
-    acc2, matching2 = matched_accuracy(np.array([0, 0, 1, 1]), np.array([0, 1, 2, 2]))
-    assert acc2 == pytest.approx(3.0 / 4.0)
-    assert matching2 == {0: 0, 1: 2}
+    assert matched_accuracy(pred, truth) == pytest.approx(4.0 / 6.0)
+    # more classes than clusters: the extra class goes unmatched
+    acc = matched_accuracy(np.array([0, 0, 1, 1]), np.array([0, 1, 2, 2]))
+    assert acc == pytest.approx(3.0 / 4.0)
 
 
 def test_matched_accuracy_dominates_fixed_matchings(rng):
@@ -94,7 +88,7 @@ def test_matched_accuracy_dominates_fixed_matchings(rng):
     # no better than the solved matching
     pred = rng.integers(0, 4, size=60)
     truth = rng.integers(0, 4, size=60)
-    best, _ = matched_accuracy(pred, truth)
+    best = matched_accuracy(pred, truth)
     for _ in range(100):
         perm = rng.permutation(4)
         fixed = float(np.mean(perm[pred] == truth))
@@ -124,19 +118,15 @@ def test_soft_accuracy_one_hot_reduces_to_matched(rng):
                for perm in itertools.permutations(range(3)))
     P = np.zeros((24, 3))
     P[np.arange(24), pred] = 1.0
-    for val, matching in (soft_accuracy(P, truth), matched_accuracy(pred, truth)):
+    for val in (soft_accuracy(P, truth), matched_accuracy(pred, truth)):
         assert val == pytest.approx(best, rel=1e-12)
-        assert sorted(matching) == [0, 1, 2]
-        mapped = np.array([matching[j] for j in pred])
-        assert np.mean(mapped == truth) == pytest.approx(val, rel=1e-12)
 
 
 def test_soft_accuracy_uniform_posterior(rng):
     for d in (2, 3, 5):
         truth = rng.integers(0, d, size=20)
         P = np.full((20, d), 1.0 / d)
-        val, _ = soft_accuracy(P, truth)
-        assert val == pytest.approx(1.0 / d, rel=1e-12)
+        assert soft_accuracy(P, truth) == pytest.approx(1.0 / d, rel=1e-12)
 
 
 def test_soft_accuracy_random_brute_force(rng):
@@ -144,13 +134,11 @@ def test_soft_accuracy_random_brute_force(rng):
     P = rng.uniform(0.1, 1.0, size=(6, 2))
     P /= P.sum(axis=1, keepdims=True)
     truth = np.array([0, 1, 0, 1, 1, 0])
-    val, matching = soft_accuracy(P, truth)
     credit = np.zeros((2, 2))
     for j, c in itertools.product(range(2), range(2)):
         credit[j, c] = P[truth == c, j].sum()
     expected = max(credit[0, 0] + credit[1, 1], credit[0, 1] + credit[1, 0]) / 6.0
-    assert val == pytest.approx(expected, rel=1e-12)
-    assert sum(credit[j, c] for j, c in matching.items()) / 6.0 == pytest.approx(val)
+    assert soft_accuracy(P, truth) == pytest.approx(expected, rel=1e-12)
 
 
 def test_soft_accuracy_row_sum_validation(rng):
@@ -197,37 +185,38 @@ def test_accuracies_reject_empty_inputs():
 
 def test_kmeans_k_equals_t_zero_inertia(rng):
     X = rng.normal(size=(6, 3))
-    labels, centers, inertia = kmeans(X, 6, rng=0)
-    assert inertia == pytest.approx(0.0, abs=1e-20)
-    assert len(set(labels.tolist())) == 6
+    res = kmeans(X, 6, rng=0)
+    assert res.objective == pytest.approx(0.0, abs=1e-20)
+    assert len(set(res.labels.tolist())) == 6
 
 
 def test_kmeans_recovers_separated_blobs(rng):
     X, truth = planted_euclidean(40, 2, rng)
-    labels, _, _ = kmeans(X, 2, rng=1)
-    assert matched_accuracy(labels, truth)[0] == 1.0
+    assert matched_accuracy(kmeans(X, 2, rng=1).labels, truth) == 1.0
 
 
 def test_kmeans_objective_monotone_in_iterations(rng):
     X = rng.normal(size=(30, 2))
-    # same seed means the same seeding; extra Lloyd sweeps cannot hurt
-    vals = [kmeans(X, 3, rng=7, max_iter=m)[2] for m in range(1, 7)]
+    # the trace holds the objective after each Lloyd sweep: extra sweeps
+    # cannot hurt
+    vals = kmeans(X, 3, rng=7).trace
+    assert len(vals) > 1
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_kmeans_deterministic_per_seed(rng):
     X = rng.normal(size=(25, 2))
-    la, _, ia = kmeans(X, 3, rng=42)
-    lb, _, ib = kmeans(X, 3, rng=42)
-    assert np.array_equal(la, lb) and ia == ib
+    a, b = kmeans(X, 3, rng=42), kmeans(X, 3, rng=42)
+    assert np.array_equal(a.labels, b.labels) and a.objective == b.objective
 
 
 def test_kmeans_inertia_is_squared_distance_to_returned_centers(rng):
     X = rng.normal(size=(30, 2))
-    for max_iter in (1, 2, 300):
-        labels, centers, inertia = kmeans(X, 3, rng=5, max_iter=max_iter)
-        expected = float(np.sum((X - centers[labels]) ** 2))
-        assert inertia == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    # the objective is half the inertia, also for a loop cut by max_iter
+    labels0 = np.arange(30) % 3
+    for res in [kmeans(X, 3, rng=5)] + [lloyd(X, [labels0], max_iter=m)[0] for m in (1, 2)]:
+        expected = float(np.sum((X - res.centers[res.labels]) ** 2))
+        assert 2.0 * res.objective == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # ----------------------------------------------------------------- hard reopt
@@ -259,7 +248,7 @@ def test_hard_reopt_repairs_single_flip(rng):
     corrupted[0] = 1 - corrupted[0]
     res = hard_reopt(X, corrupted)
     assert res.objective == pytest.approx(best, rel=1e-10)
-    assert matched_accuracy(res.labels, best_labels)[0] == 1.0
+    assert matched_accuracy(res.labels, best_labels) == 1.0
 
 
 def test_hard_reopt_trace_nonincreasing(rng):
@@ -312,9 +301,9 @@ def test_empty_cluster_start_revives_every_cluster(rng):
     # two distinct points for three clusters: the third kmeans++ seed
     # duplicates one of the first two and leaves its cluster empty
     X = np.array([[1.0, 0.0]] * 3 + [[-1.0, 0.0]] * 3)
-    labels, centers, inertia = kmeans(X, 3, rng=0)
-    assert sorted(set(labels.tolist())) == [0, 1, 2]
-    assert inertia == pytest.approx(0.0, abs=1e-12)
+    res = kmeans(X, 3, rng=0)
+    assert sorted(set(res.labels.tolist())) == [0, 1, 2]
+    assert res.objective == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reopt_results_belong_to_returned_labels(rng):
@@ -323,27 +312,20 @@ def test_reopt_results_belong_to_returned_labels(rng):
     X = rng.normal(size=(20, 2))
     labels0 = rng.integers(0, 3, size=20)
     for max_iter in (1, 2):
-        res = hard_reopt(X, labels0, max_iter=max_iter, d=3)
+        res = lloyd(X, [labels0], max_iter=max_iter, d=3)[0]
         assert np.allclose(res.centers, cluster_means(X, res.labels, 3)[0])
         assert res.objective == pytest.approx(cond_objective(X, res.labels), rel=1e-12)
-        res = joint_hard_reopt(X, labels0, max_iter=max_iter, d=3)
+        res = lloyd(X, [labels0], max_iter=max_iter, d=3, log_prior=True)[0]
         centers, counts = cluster_means(X, res.labels, 3)
         assert np.allclose(res.centers, centers)
         assert np.allclose(res.weights, np.log(counts / 20))
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda X: hard_reopt(X, np.arange(10) % 2, max_iter=0),
-        lambda X: joint_hard_reopt(X, np.arange(10) % 2, max_iter=0),
-        lambda X: kmeans(X, 2, rng=0, max_iter=0),
-    ],
-    ids=["hard_reopt", "joint_hard_reopt", "kmeans"],
-)
-def test_lloyd_rejects_max_iter_below_one(rng, run):
-    with pytest.raises(ValueError, match="max_iter"):
-        run(rng.normal(size=(10, 2)))
+def test_lloyd_rejects_max_iter_below_one(rng):
+    X = rng.normal(size=(10, 2))
+    for log_prior in (False, True):
+        with pytest.raises(ValueError, match="max_iter"):
+            lloyd(X, [np.arange(10) % 2], max_iter=0, log_prior=log_prior)
 
 
 @pytest.mark.parametrize("log_prior", [False, True])
@@ -432,7 +414,7 @@ def test_spectral_round_exact_partition(rng):
     labels = np.array([0, 0, 1, 1, 1, 0, 1])
     M = equivalence_of(labels, 2)
     res = spectral_round(M, 2, rng=rng)
-    assert matched_accuracy(res.labels, labels)[0] == 1.0
+    assert matched_accuracy(res.labels, labels) == 1.0
 
 
 def test_spectral_round_rejects_zero_restarts(rng):
@@ -452,7 +434,7 @@ def test_spectral_round_noisy_equivalence(rng):
     M = equivalence_of(labels, 3)
     E = 0.02 * rng.normal(size=M.shape)
     res = spectral_round(M + 0.5 * (E + E.T), 3, rng=rng)
-    assert matched_accuracy(res.labels, labels)[0] == 1.0
+    assert matched_accuracy(res.labels, labels) == 1.0
 
 
 def test_spectral_round_permutation_equivariance(rng):
@@ -463,7 +445,7 @@ def test_spectral_round_permutation_equivariance(rng):
     res_p = spectral_round(M[np.ix_(perm, perm)], 2, rng=np.random.default_rng(5))
     # permuted input, permuted assignment; k-means tie-breaks may relabel,
     # so compare partitions and objectives rather than raw labels
-    assert matched_accuracy(res_p.labels, res.labels[perm])[0] == 1.0
+    assert matched_accuracy(res_p.labels, res.labels[perm]) == 1.0
     assert res_p.objective == pytest.approx(res.objective, abs=1e-9)
 
 
