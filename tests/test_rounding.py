@@ -321,11 +321,14 @@ def test_reopt_results_belong_to_returned_labels(rng):
         assert np.allclose(res.weights, np.log(counts / 20))
 
 
-def test_lloyd_rejects_max_iter_below_one(rng):
-    X = rng.normal(size=(10, 2))
-    for log_prior in (False, True):
-        with pytest.raises(ValueError, match="max_iter"):
-            lloyd(X, [np.arange(10) % 2], max_iter=0, log_prior=log_prior)
+# each case runs the lloyd loop that the named reopt runs
+@pytest.mark.parametrize(
+    "log_prior", [False, True], ids=["hard_reopt", "joint_hard_reopt"]
+)
+def test_lloyd_rejects_max_iter_below_one(rng, log_prior):
+    with pytest.raises(ValueError, match="max_iter"):
+        lloyd(rng.normal(size=(10, 2)), [np.arange(10) % 2], max_iter=0,
+              log_prior=log_prior)
 
 
 @pytest.mark.parametrize("log_prior", [False, True])
