@@ -6,9 +6,10 @@ The package is organized bottom-up:
   bernoulli), transfers, conjugates.
 - :mod:`bregrelax.geometry` -- relaxation sets over normalized
   equivalence matrices, membership checks, projections.
-- :mod:`bregrelax.clusternorm` -- the cluster norm, its dual, and
-  equivalence-matrix recovery from the water-filled spectrum.
-- :mod:`bregrelax.solvers` -- GCG, ADMM, and smooth-minimization engines.
+- :mod:`bregrelax.clusternorm` -- the cluster norm, its dual and prox,
+  and equivalence-matrix recovery from the water-filled spectrum.
+- :mod:`bregrelax.solvers` -- accelerated proximal gradient, GCG, ADMM,
+  and smooth-minimization engines.
 - :mod:`bregrelax.models` -- the four relaxed clustering models plus
   alternating and EM baselines.
 - :mod:`bregrelax.rounding` -- spectral rounding, the Lloyd loop behind
@@ -34,6 +35,7 @@ from .clusternorm import (
     cluster_norm,
     cluster_norm_dual,
     cluster_norm_dual_subgradient,
+    cluster_prox,
     recover_equivalence,
     spectrum_waterfill,
 )
@@ -78,6 +80,7 @@ from .solvers import (
     admm_solve,
     gcg_line_search,
     gcg_minimize,
+    prox_minimize,
     rowwise_objective,
     smooth_minimize,
 )

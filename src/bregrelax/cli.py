@@ -59,7 +59,7 @@ KNOBS = {
     "restarts": Knob("--restarts", int, "rounding repeats of a relaxation (default 10) or "
                      "restarts of alt-hard (30) and soft-em (20)"),
     "subsample": Knob("--subsample", int, "class-proportional subsample size"),
-    "tol": Knob("--tol", float, "GCG duality-gap tolerance"),
+    "tol": Knob("--tol", float, "duality-gap tolerance of cond, disc and joint"),
     "admm_tol": Knob("--admm-tol", float, "ADMM residual tolerance (scaled by sqrt(t))"),
     "max_iter": Knob("--max-iter", int, "solver iteration cap"),
     "out": Knob("--out", help="output directory"),

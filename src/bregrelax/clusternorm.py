@@ -105,6 +105,31 @@ def cluster_norm_dual_subgradient(R, d):
     return (U[:, :r] * (top[:r] / scale)) @ Vt[:r]
 
 
+def cluster_prox(Y, w, d):
+    """argmin_T 0.5 ||T - Y||^2 + (w/2) norm(T)^2, and that squared norm.
+
+    The norm is unitarily invariant, so T shares Y's singular vectors
+    (Parikh & Boyd, "Proximal Algorithms", 2014, section 6.7): with
+    Y = U diag(x) V', T = U diag(x sigma / (sigma + w)) V', where sigma
+    minimizes sum x_i^2 / (sigma_i + w) over the program's capped simplex.
+    Its KKT conditions give sigma_i = clip(c x_i - w, 0, 1), with c found
+    by a breakpoint scan so that sum sigma = d - 1; if rank(Y) <= d - 1
+    the budget does not bind, every sigma_i is 1 and T = Y / (1 + w).
+    """
+    Y = np.asarray(Y, dtype=float)
+    U, x, Vt = np.linalg.svd(Y, full_matrices=False)
+    if np.count_nonzero(x > x.max(initial=0.0) * max(Y.shape) * np.finfo(float).eps) < d:
+        return Y / (1.0 + w), float(np.sum(x * x)) / (1.0 + w) ** 2
+    # sum sigma is piecewise linear in c, bending where an entry leaves 0 or reaches 1
+    kinks = np.sort(np.concatenate([w / x[x > 0], (1.0 + w) / x[x > 0]]))
+    mass = np.clip(np.outer(kinks, x) - w, 0.0, 1.0).sum(axis=1)
+    j = int(np.searchsorted(mass, d - 1))  # mass[j - 1] < d - 1 <= mass[j]
+    c = kinks[j - 1] + (d - 1 - mass[j - 1]) * (kinks[j] - kinks[j - 1]) / (mass[j] - mass[j - 1])
+    sigma = np.clip(c * x - w, 0.0, 1.0)
+    # T's squared norm is sum t_i^2 / sigma_i with t_i = x_i sigma_i / (sigma_i + w)
+    return (U * (x * sigma / (sigma + w))) @ Vt, float(np.sum(x * x * sigma / (sigma + w) ** 2))
+
+
 def recover_equivalence(T, d):
     """Optimal relaxation M paired with T at the squared-norm optimum, and its eigenpairs.
 

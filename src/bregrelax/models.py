@@ -3,18 +3,20 @@
 Four relaxations share a common recipe: minimize a smooth conjugate-space
 loss plus a squared cluster-norm penalty (or, for ``cond-jc``, the primal
 divergence directly over the relaxation set), then recover a relaxed
-equivalence matrix for rounding.  For the three GCG models a loss builder
-(``_cond_problem``, ``_disc_problem``, ``_joint_problem``) returns a
-SmoothProblem and ``_gcg_solution`` solves it and packages the result.
+equivalence matrix for rounding.  For the three penalized models a loss
+builder (``_cond_problem``, ``_disc_problem``, ``_joint_problem``) returns
+a SmoothProblem and ``_penalized_solution`` solves and packages it.
 
 * ``cond-jc``  -- jointly convex conditional model, solved by ADMM.
 * ``cond``     -- conditional model in conjugate coordinates, solved by
-                  generalized conditional gradient (GCG).
+                  accelerated proximal gradient (``prox_minimize``).
 * ``disc``     -- discriminative self-classification model (sigmoid data
-                  only), GCG over the classifier matrix with the bias
-                  vector minimized out.
+                  only), generalized conditional gradient (GCG) over the
+                  classifier matrix with the bias vector minimized out:
+                  GCG's segment holds the bias fixed, where each proximal
+                  probe would need a full bias solve.
 * ``joint``    -- joint model with a relaxed log-prior block stacked next
-                  to the conjugate responsibilities.
+                  to the conjugate responsibilities, by ``prox_minimize``.
 
 Baselines: ``alt-hard`` (alternating hard clustering with restarts, all
 restarts one ``rounding.lloyd`` stack) and ``soft-em`` (mixture EM, all
@@ -41,6 +43,7 @@ from .solvers import (
     SolverDivergence,
     admm_solve,
     gcg_minimize,
+    prox_minimize,
     smooth_minimize,
 )
 
@@ -93,7 +96,7 @@ class ModelConfig:
 @dataclass
 class RelaxationSolution:
     """A solved relaxation.  ``eigenpairs`` is (values, vectors) with M =
-    (vectors * values) @ vectors.T bit for bit (GCG: T's thin SVD), None
+    (vectors * values) @ vectors.T bit for bit (from T's thin SVD), None
     for ``cond-jc`` and for T = 0."""
 
     model: str
@@ -144,81 +147,44 @@ def solve_cond_jc(X, config):
     )
 
 
-def _curvature(fam, Y):
-    """d f_inv / dz at z = f(Y), i.e. 1 / f'(Y): the Hessian of F* there.
-
-    Where the sigmoid saturates, Y (1 - Y) underflows, f'(Y) overflows to
-    inf and the curvature is the intended 0.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / fam.transfer_derivative(Y)
-
-
-def _segment_derivatives(R, w, T, S):
-    """Gradient and curvature in (a, b) along a*T + b*S.
-
-    ``R`` is the gradient of the loss and ``w`` its diagonal Hessian, both
-    at the segment point.
-    """
-    wT = w * T
-    ts = np.vdot(wT, S)
-    g = np.array([np.vdot(R, T), np.vdot(R, S)])
-    return g, np.array([[np.vdot(wT, T), ts], [ts, np.vdot(w * S, S)]])
-
-
 def _cond_problem(X, fam):
-    """The loss D_F*(T, f(X)) of ``cond`` as a SmoothProblem with a segment.
+    """The loss D_F*(T, f(X)) of ``cond`` as a SmoothProblem.
 
-    Its gradient is f_inv(T) - X and its Hessian is diagonal, f_inv'(T):
-    1 for euclidean (one Newton step is exact), sigma (1 - sigma) for
-    bernoulli.
+    Its gradient is f_inv(T) - X; its curvature is at most 1 for euclidean
+    (where one prox step at X is exact) and 1/4 for bernoulli.
     """
     FX = fam.transfer(X)
 
     def value_and_grad(T):
         return conjugate_divergence(fam, T, FX), fam.inverse_transfer(T) - X
 
-    def segment(T, S):
-        def phi(a, b):
-            W = a * T + b * S
-            Y = fam.inverse_transfer(W)
-            g, H = _segment_derivatives(Y - X, _curvature(fam, Y), T, S)
-            return conjugate_divergence(fam, W, FX), g, H
-
-        return phi
-
-    return SmoothProblem(shape=X.shape, value_and_grad=value_and_grad, segment=segment)
+    return SmoothProblem(shape=X.shape, value_and_grad=value_and_grad)
 
 
-def _gcg_solution(model, loss, weight, config, blocks):
-    """Minimize ``loss`` plus (weight/2) * cluster norm^2 by GCG and package it.
+def _penalized_solution(model, minimize, loss, weight, config, blocks):
+    """Minimize ``loss`` plus (weight/2) * cluster norm^2 and package it.
 
-    ``blocks(T)`` names the parts of the final iterate that go into
-    ``auxiliaries``, ahead of its cluster norm and the final gap.
+    ``minimize`` is ``prox_minimize`` or ``gcg_minimize``; ``blocks(T)``
+    names the parts of the final iterate that go into ``auxiliaries``,
+    ahead of its cluster norm and the final gap.
     """
-    res = gcg_minimize(loss, weight, config.d, tol=config.tol, max_iter=config.max_iter)
+    res = minimize(loss, weight, config.d, tol=config.tol, max_iter=config.max_iter)
     M, eigenpairs = recover_equivalence(res.T, config.d)
-    return RelaxationSolution(
-        model=model,
-        M=M,
-        objective=res.objective,
-        converged=res.converged,
-        iterations=res.iterations,
-        trace=res.trace,
-        auxiliaries={**blocks(res.T), "norm": res.norm, "gap": res.gap},
-        eigenpairs=eigenpairs,
-    )
+    return RelaxationSolution(model=model, M=M, objective=res.objective, converged=res.converged,
+                              iterations=res.iterations, trace=res.trace, eigenpairs=eigenpairs,
+                              auxiliaries={**blocks(res.T), "norm": res.norm, "gap": res.gap})
 
 
 def solve_cond(X, config):
-    """Conditional relaxation in conjugate coordinates, solved by GCG.
+    """Conditional relaxation in conjugate coordinates, solved by ``prox_minimize``.
 
     Loss D_F*(T, f(X)) (``_cond_problem``); the cluster norm of T is
     penalized with weight alpha.
     """
     fam = family(config.family)
     loss = _cond_problem(fam.check_domain(X), fam)
-    return _gcg_solution("cond", loss, config.alpha, config, lambda T: {"T": T})
+    return _penalized_solution("cond", prox_minimize, loss, config.alpha, config,
+                               lambda T: {"T": T})
 
 
 def _disc_terms(Z0, tau):
@@ -283,7 +249,10 @@ def _disc_problem(X):
 
         def phi(a, b):
             value, P = _disc_terms(a * A + b * B, fixed)
-            g, H = _segment_derivatives((P - np.eye(t)) / t, P / t, A, B)
+            R, wA = (P - np.eye(t)) / t, P / t * A
+            g = np.array([np.vdot(R, A), np.vdot(R, B)])
+            ab = np.vdot(wA, B)
+            H = np.array([[np.vdot(wA, A), ab], [ab, np.vdot(P / t * B, B)]])
             m = np.stack([np.sum(P * A, axis=1), np.sum(P * B, axis=1)])
             return value, g, H - m @ m.T / t
 
@@ -304,71 +273,43 @@ def solve_disc(X, config):
     pairs ``disc`` with the sigmoid transfer.
     """
     loss, tau = _disc_problem(np.asarray(X, dtype=float))
-    return _gcg_solution("disc", loss, config.gamma, config,
-                         lambda V: {"V": V, "tau": tau.copy()})
+    return _penalized_solution("disc", gcg_minimize, loss, config.gamma, config,
+                               lambda V: {"V": V, "tau": tau.copy()})
 
 
 def _joint_terms(fam, u, T, X, FX):
-    """The joint loss lse(u/t) - mean(u) + D_F*(T, f(X)) / t, given FX = f(X).
-
-    Returns (value, grad_u, grad_T, softmax of u/t, f_inv(T)); the last
-    two carry the curvature of the u and T blocks.
-    """
+    """(value, grad_u, grad_T) of the joint loss lse(u/t) - mean(u) + D_F*(T, f(X)) / t,
+    given FX = f(X)."""
     t = X.shape[0]
     (lse,), (sm,) = softmax_rows((u / t)[None, :])
-    Y = fam.inverse_transfer(T)
     val = lse - float(np.mean(u)) + conjugate_divergence(fam, T, FX) / t
-    return val, (sm - 1.0) / t, (Y - X) / t, sm, Y
+    return val, (sm - 1.0) / t, (fam.inverse_transfer(T) - X) / t
 
 
 def _joint_problem(X, fam, ra, rb):
-    """The joint loss over the stacked W = [rb u, ra T] as a SmoothProblem.
-
-    Value, gradient and segment share one evaluator (``_joint_terms``) and
-    the precomputed f(X).
-    """
-    t, n = X.shape
+    """The joint loss over the stacked W = [rb u, ra T] as a SmoothProblem,
+    evaluated by ``_joint_terms`` with the precomputed f(X)."""
     FX = fam.transfer(X)
 
-    def split(W):
-        return W[:, 0] / rb, W[:, 1:] / ra
-
     def value_and_grad(W):
-        val, gu, gT, _, _ = _joint_terms(fam, *split(W), X, FX)
-        G = np.empty_like(W)
-        G[:, 0] = gu / rb
-        G[:, 1:] = gT / ra
-        return val, G
+        val, gu, gT = _joint_terms(fam, W[:, 0] / rb, W[:, 1:] / ra, X, FX)
+        return val, np.column_stack([gu / rb, gT / ra])
 
-    def segment(W, S):
-        u0, T0 = split(W)
-        us, Ts = split(S)
-
-        def phi(a, b):
-            val, gu, gT, sm, Y = _joint_terms(fam, a * u0 + b * us, a * T0 + b * Ts, X, FX)
-            g_u, H_u = _segment_derivatives(gu, sm / t**2, u0, us)
-            g_T, H_T = _segment_derivatives(gT, _curvature(fam, Y) / t, T0, Ts)
-            # lse(u/t) has Hessian (diag(sm) - sm sm') / t^2
-            m = np.array([sm @ u0, sm @ us]) / t
-            return val, g_u + g_T, H_u - np.outer(m, m) + H_T
-
-        return phi
-
-    return SmoothProblem(shape=(t, n + 1), value_and_grad=value_and_grad, segment=segment)
+    return SmoothProblem(shape=(X.shape[0], X.shape[1] + 1), value_and_grad=value_and_grad)
 
 
 def solve_joint(X, config):
     """Joint relaxation over the stacked variable [sqrt(beta) u, sqrt(alpha) T].
 
     The stacking folds the two penalty weights into a single unit-weight
-    cluster-norm penalty on W, so GCG runs with weight 1.
+    cluster-norm penalty on W, so ``prox_minimize`` runs with weight 1.
     """
     fam = family(config.family)
     ra = np.sqrt(config.alpha)
     rb = np.sqrt(config.beta)
     loss = _joint_problem(fam.check_domain(X), fam, ra, rb)
-    return _gcg_solution("joint", loss, 1.0, config,
-                         lambda W: {"u": W[:, 0] / rb, "T": W[:, 1:] / ra, "W": W})
+    return _penalized_solution("joint", prox_minimize, loss, 1.0, config,
+                               lambda W: {"u": W[:, 0] / rb, "T": W[:, 1:] / ra, "W": W})
 
 
 def solve_relaxation(model, X, config):

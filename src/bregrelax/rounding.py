@@ -2,8 +2,8 @@
 
 A relaxed equivalence matrix is turned into a hard clustering by embedding
 points with the top eigenvectors and running k-means on the normalized
-rows (``spectral_round``); the eigenpairs are a GCG solution's own (from
-T's thin SVD), or ``eigh``'s of ``cond-jc``'s M.  Hard clusterings are
+rows (``spectral_round``); the eigenpairs are a penalized solution's own
+(from T's thin SVD), or ``eigh``'s of ``cond-jc``'s M.  Hard clusterings are
 polished with alternating minimization (``hard_reopt``, or
 ``joint_hard_reopt`` with cluster log-priors) and scored against ground
 truth with a maximum-weight matching between clusters and classes
@@ -194,8 +194,8 @@ def kmeans(X, k, rng=None):
 def spectral_embedding(M, d, eigenpairs=None):
     """Top-d eigenvector embedding of M with unit-normalized rows.
 
-    The eigenpairs (values, vectors) are ``eigenpairs`` when given (a GCG
-    solution's own), else ``eigh``'s of the symmetrized M.  Only
+    The eigenpairs (values, vectors) are ``eigenpairs`` when given (a
+    penalized solution's own), else ``eigh``'s of the symmetrized M.  Only
     eigenvalues above the relative rank cutoff contribute; if fewer than d
     survive, the embedding proceeds with the available dimensions and a
     warning.  Zero rows stay zero.

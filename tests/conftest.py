@@ -7,7 +7,9 @@ enumeration, and convex references from cvxpy where available.  Hard
 equivalence matrices (``indicator``, ``equivalence_from_assignment``),
 the range-checked quadratic form tr(T' M^+ T) (``pinv_quadratic_form``,
 raising ``RangeError``) and the one-row simplex projection
-(``simplex_project``) live here too: the package itself never needs them.
+(``simplex_project``) live here too: the package itself never needs them,
+and so does GCG's line-search segment of ``cond``'s bernoulli loss
+(``bernoulli_cond_loss``), which ``cond`` no longer runs.
 So do the sweep-by-sweep Lloyd and EM loops (``lloyd_reference``,
 ``em_reference``), which evaluate ``pairwise_divergence`` from scratch in
 every sweep where the package builds the data half of the cost once, and
@@ -27,6 +29,7 @@ import pytest
 import scipy.linalg
 
 from bregrelax import SmoothProblem, cond_objective, family, pairwise_divergence
+from bregrelax.models import _cond_problem
 from bregrelax.rounding import RANK_RTOL, _fill_empty, cluster_means
 
 
@@ -200,6 +203,29 @@ def quadratic_loss(C, calls=None):
         return phi
 
     return SmoothProblem(shape=C.shape, value_and_grad=value_and_grad, segment=segment)
+
+
+def bernoulli_cond_loss(X):
+    """``cond``'s bernoulli loss D_F*(T, f(X)) with an exact segment.
+
+    Along a*T + b*S the gradient in (a, b) is (<R, T>, <R, S>) with
+    R = sigmoid(W) - X, and the curvature weighs T and S entrywise by
+    sigmoid(W) (1 - sigmoid(W)).
+    """
+    problem = _cond_problem(X, family("bernoulli"))
+
+    def segment(T, S):
+        def phi(a, b):
+            value, R = problem.value_and_grad(a * T + b * S)
+            w = (R + X) * (1.0 - R - X)
+            ts = np.sum(w * T * S)
+            H = np.array([[np.sum(w * T * T), ts], [ts, np.sum(w * S * S)]])
+            return value, np.array([np.sum(R * T), np.sum(R * S)]), H
+
+        return phi
+
+    problem.segment = segment
+    return problem
 
 
 def row_softmax(S):

@@ -4,8 +4,9 @@ Run ``pytest tests/test_acceptance.py -v`` for a per-criterion pass/fail
 line.  Criteria 8 and 9 evaluate the real benchmark datasets and skip
 with instructions when the files are not present under ``data/``.
 Criteria 3 and 6 also run without cvxpy: 3 through the projection
-variational inequality, and both halves of 6, GCG against a reference
-reduced to singular values and ADMM against its own residuals.
+variational inequality, and both halves of 6, GCG, the proximal solver and
+the closed-form prox against a reference reduced to singular values, and
+ADMM against its own residuals.
 """
 
 import csv
@@ -25,6 +26,7 @@ from bregrelax import (
     cluster_norm,
     cluster_norm_dual,
     cluster_norm_dual_subgradient,
+    cluster_prox,
     cond_objective,
     emit_table,
     family,
@@ -33,6 +35,7 @@ from bregrelax import (
     matched_accuracy,
     preprocess,
     project_rowsum,
+    prox_minimize,
     run_experiment,
     run_grid,
     solve_cond_jc,
@@ -256,12 +259,17 @@ def _criterion_06_instances():
 
 
 def _check_criterion_06_gcg(reference):
-    # GCG: monotone trace and agreement with a high-precision reference
+    # GCG and accelerated proximal gradient: monotone trace and agreement
+    # with a high-precision reference; the proximal solve also certifies
     for C, alpha, d in _criterion_06_instances()[0]:
+        want = reference(C, alpha, d)
         res = gcg_minimize(quadratic_loss(C), alpha, d=d, tol=1e-10, max_iter=2000)
-        objs = [row["objective"] for row in res.trace]
-        assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
-        assert res.objective == pytest.approx(reference(C, alpha, d), abs=1e-4)
+        prox = prox_minimize(quadratic_loss(C), alpha, d=d, tol=1e-10, max_iter=2000)
+        for solved in (res, prox):
+            objs = [row["objective"] for row in solved.trace]
+            assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
+            assert solved.objective == pytest.approx(want, abs=1e-4)
+        assert prox.converged
 
 
 def test_criterion_06_gcg_convergence():
@@ -289,6 +297,16 @@ def _spectral_reference(C, alpha, d):
 
 def test_criterion_06_gcg_convergence_without_cvxpy():
     _check_criterion_06_gcg(_spectral_reference)
+
+
+def test_criterion_06_cluster_prox_is_the_spectral_reference():
+    # 0.5 ||T - C||^2 + (alpha/2) Omega^2(T) is minimized by the prox of C
+    # with weight alpha, in closed form
+    for C, alpha, d in _criterion_06_instances()[0]:
+        T, norm2 = cluster_prox(C, alpha, d)
+        assert norm2 == pytest.approx(cluster_norm(T, d) ** 2, rel=1e-12)
+        value = 0.5 * float(np.sum((T - C) ** 2)) + 0.5 * alpha * norm2
+        assert value == pytest.approx(_spectral_reference(C, alpha, d), abs=1e-9)
 
 
 def test_criterion_06_admm_convergence():

@@ -6,6 +6,7 @@ from bregrelax import (
     cluster_norm,
     cluster_norm_dual,
     cluster_norm_dual_subgradient,
+    cluster_prox,
     recover_equivalence,
     spectrum_waterfill,
 )
@@ -176,3 +177,30 @@ def test_recover_equivalence_zero_is_zero_matrix():
     M, eigenpairs = recover_equivalence(np.zeros((4, 2)), 3)
     assert M.shape == (4, 4) and not np.any(M)
     assert eigenpairs is None
+
+
+def test_prox_of_low_rank_input_is_a_uniform_shrink(rng):
+    # rank <= d - 1: the norm is Frobenius there, so the prox is Y / (1 + w)
+    for rank, d in ((1, 2), (1, 3), (2, 3), (3, 4)):
+        Y = rng.normal(size=(7, rank)) @ rng.normal(size=(rank, 5))
+        T, norm2 = cluster_prox(Y, 0.7, d)
+        assert np.array_equal(T, Y / 1.7)
+        assert norm2 == pytest.approx(np.sum(T * T), rel=1e-12)
+
+
+def test_prox_norm_is_the_waterfill_of_its_output(rng):
+    for _ in range(20):
+        d = int(rng.integers(2, 5))
+        Y = rng.normal(scale=rng.uniform(0.2, 3.0), size=(int(rng.integers(d, 9)), 4))
+        w = float(rng.uniform(1e-4, 2.0))
+        T, norm2 = cluster_prox(Y, w, d)
+        s = np.linalg.svd(T, compute_uv=False)
+        assert norm2 == pytest.approx(spectrum_waterfill(s, d).value, rel=1e-10, abs=1e-14)
+        # first-order optimality: Y - T is w times a subgradient of norm^2 / 2 at T
+        assert cluster_norm_dual(Y - T, d) == pytest.approx(w * np.sqrt(norm2), rel=1e-8)
+        assert np.sum((Y - T) * T) == pytest.approx(w * norm2, rel=1e-8)
+
+
+def test_prox_of_zero_is_zero():
+    T, norm2 = cluster_prox(np.zeros((5, 3)), 0.4, 3)
+    assert T.shape == (5, 3) and not np.any(T) and norm2 == 0.0

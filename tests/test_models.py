@@ -1,5 +1,4 @@
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from bregrelax import (
     conjugate_divergence,
     derived_rng,
     family,
+    gcg_minimize,
     hard_reopt,
     joint_hard_reopt,
     matched_accuracy,
@@ -31,7 +31,6 @@ from bregrelax import (
 from bregrelax import bench, models
 from bregrelax.divergences import softmax_rows
 from bregrelax.models import (
-    _cond_problem,
     _disc_problem,
     _disc_terms,
     _joint_problem,
@@ -51,6 +50,7 @@ from conftest import (
     lloyd_reference,
     planted_bernoulli,
     planted_euclidean,
+    quadratic_loss,
 )
 from test_perfbench_targets import workloads  # noqa: F401  (fixture)
 
@@ -90,7 +90,7 @@ def test_solve_relaxation_rejects_unknown_model(rng):
     ("joint", ["u", "T", "W"]),
 ])
 def test_gcg_models_capped_at_zero_iterations_return_zero_M(rng, model, blocks):
-    # T stays 0 when no GCG step runs; M is then the zero matrix, not an error
+    # T stays 0 when no solver step runs; M is then the zero matrix, not an error
     sol = solve_relaxation(model, rng.normal(size=(6, 3)), small_config(max_iter=0))
     assert np.array_equal(sol.M, np.zeros((6, 6)))
     assert not sol.converged and sol.iterations == 0
@@ -98,7 +98,7 @@ def test_gcg_models_capped_at_zero_iterations_return_zero_M(rng, model, blocks):
     assert sol.eigenpairs is None  # the zero matrix has no factor
 
 
-# every GCG model under each family it allows (disc reads bounded features)
+# every penalized model under each family it allows (disc reads bounded features)
 GCG_CELLS = [("cond", "euclidean"), ("cond", "bernoulli"), ("disc", "bernoulli"),
              ("joint", "euclidean"), ("joint", "bernoulli")]
 
@@ -123,22 +123,26 @@ def test_gcg_eigenpairs_rebuild_M_bit_for_bit(model, fam):
 
 @pytest.mark.parametrize("model, fam", GCG_CELLS)
 def test_gcg_solution_takes_one_thin_svd_of_T(monkeypatch, model, fam):
-    # once GCG returns, M and its eigenpairs come from a single SVD of the
-    # final iterate, so perfbench's svd count sees every SVD of T
+    # once the solver (prox_minimize, or GCG for disc) returns, M and its
+    # eigenpairs come from a single SVD of the final iterate
     solved, svds = [], []
-    gcg, svd = models.gcg_minimize, np.linalg.svd
+    svd = np.linalg.svd
 
-    def traced_gcg(*args, **kwargs):
-        res = gcg(*args, **kwargs)
-        solved.append(res.T)
-        return res
+    def traced(solver):
+        def run(*args, **kwargs):
+            res = solver(*args, **kwargs)
+            solved.append(res.T)
+            return res
+
+        return run
 
     def counted_svd(a, *args, **kwargs):
         if solved:
             svds.append((np.array_equal(a, solved[-1]), kwargs.get("full_matrices")))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(models, "gcg_minimize", traced_gcg)
+    for name in ("gcg_minimize", "prox_minimize"):
+        monkeypatch.setattr(models, name, traced(getattr(models, name)))
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     planted_solution(model, fam)
     assert len(solved) == 1 and svds == [(True, False)]
@@ -272,14 +276,30 @@ def test_cond_solution_contract(rng):
 
 
 def test_cond_small_decrease_stop_is_not_converged():
-    # GCG stops this solve by its small-decrease rule, far from the gap
-    # tolerance: the stop must not be reported as a certificate
-    X = 5.0 * np.random.default_rng(0).normal(size=(40, 10))
-    config = ModelConfig(d=3)
-    sol = solve_cond(X, config)
-    assert sol.iterations < config.max_iter
-    assert sol.auxiliaries["gap"] > 1e3 * config.tol
-    assert not sol.converged
+    # GCG stops cond's euclidean loss 0.5 ||T - C||^2 on this instance by
+    # its small-decrease rule, far from the gap tolerance: the stop must not
+    # be reported as a certificate (cond itself runs prox_minimize, which
+    # solves it in one step)
+    rng = np.random.default_rng(1234)
+    rng.normal(size=(6, 3))
+    C = rng.normal(size=(6, 3))
+    res = gcg_minimize(quadratic_loss(C), 0.3, d=2, tol=1e-6)
+    assert res.iterations < 1000
+    assert res.gap > 1e2 * 1e-6
+    assert not res.converged
+
+
+@pytest.mark.parametrize("t", [60, 150])
+@pytest.mark.parametrize("model", ["cond", "joint"])
+@pytest.mark.parametrize("transfer", ["linear", "sigmoid"])
+def test_prox_certifies_planted_cells(workloads, model, transfer, t):
+    # the sigmoid cells are the only runs of the bernoulli conjugate paths
+    # (inverse_transfer, conjugate): no perfbench workload reaches them
+    X = bench.preprocess(workloads.planted(workloads.stream_rng(0, 2, 0), t, 8), transfer).X
+    config = ModelConfig(d=3, family=bench.transfer_family(transfer))
+    sol = solve_relaxation(model, X, config)
+    assert sol.converged and sol.auxiliaries["gap"] < config.tol
+    assert sol.iterations <= config.max_iter
 
 
 @pytest.mark.parametrize("model", ["cond-jc", "cond", "joint", "disc"])
@@ -389,7 +409,7 @@ def test_joint_loss_reference_point(rng):
     X = rng.uniform(0.2, 0.8, size=(6, 3))
     fam = family("bernoulli")
     FX = fam.transfer(X)
-    val, gu, gT, _, _ = _joint_terms(fam, np.zeros(6), FX, X, FX)
+    val, gu, gT = _joint_terms(fam, np.zeros(6), FX, X, FX)
     assert val == pytest.approx(np.log(6.0), rel=1e-12)
     assert np.max(np.abs(gT)) <= 1e-12
 
@@ -453,7 +473,7 @@ def test_solve_joint_planted_recovery(rng):
     assert check_membership(sol.M, 2, "centered", tol=1e-8)
 
 
-# ------------------------------------------------------ line-search segments
+# --------------------------------------------------- disc line-search segment
 
 
 def _central_segment(value_and_grad, T, S, a, b, h):
@@ -469,44 +489,6 @@ def _central_segment(value_and_grad, T, S, a, b, h):
     hbb = (f(a, b + h) - 2 * f0 + f(a, b - h)) / h**2
     hab = (f(a + h, b + h) - f(a + h, b - h) - f(a - h, b + h) + f(a - h, b - h)) / (4 * h**2)
     return f0, grad, np.array([[haa, hab], [hab, hbb]])
-
-
-@pytest.mark.parametrize(
-    "model,fam", [("cond", "euclidean"), ("cond", "bernoulli"), ("joint", "euclidean"),
-                  ("joint", "bernoulli")]
-)
-def test_segment_matches_central_differences(rng, model, fam):
-    fam = family(fam)
-    X = rng.uniform(0.1, 0.9, size=(7, 3))
-    if model == "cond":
-        loss = _cond_problem(X, fam)
-    else:
-        loss = _joint_problem(X, fam, np.sqrt(0.5), np.sqrt(0.2))
-    T = rng.normal(scale=2.0, size=loss.shape)
-    S = rng.normal(scale=2.0, size=loss.shape)
-    a, b = 0.7, 0.4
-    val, grad, hess = loss.segment(T, S)(a, b)
-    want_val, want_grad, want_hess = _central_segment(loss.value_and_grad, T, S, a, b, 1e-4)
-    assert val == pytest.approx(want_val, rel=1e-12)
-    assert np.allclose(grad, want_grad, rtol=1e-6, atol=1e-7)
-    assert np.allclose(hess, hess.T)
-    assert np.allclose(hess, want_hess, rtol=1e-4, atol=1e-5 * np.max(np.abs(hess)))
-
-
-def test_bernoulli_segment_saturated_entry_has_zero_curvature():
-    # sigma(-720) (1 - sigma(-720)) is subnormal: its reciprocal overflows
-    X = np.full((3, 2), 0.5)
-    loss = _cond_problem(X, family("bernoulli"))
-    T = np.zeros(X.shape)
-    T[0, 0] = -720.0
-    S = np.zeros(X.shape)
-    S[0, 0] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        val, grad, hess = loss.segment(T, S)(1.0, 0.0)
-    assert np.isfinite(val) and np.all(np.isfinite(grad))
-    # the segment moves only the saturated entry, so all its curvature is 0
-    assert np.array_equal(hess, np.zeros((2, 2)))
 
 
 def test_disc_segment_majorizes_envelope(rng):

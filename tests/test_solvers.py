@@ -14,15 +14,17 @@ from bregrelax import (
     cluster_norm_dual,
     gcg_line_search,
     gcg_minimize,
+    prox_minimize,
     rowwise_objective,
     smooth_minimize,
     spectral_round,
 )
 from bregrelax.divergences import family
-from bregrelax.models import _cond_problem, cond_objective
+from bregrelax.models import cond_objective
 from bregrelax.solvers import _admm_rows_pg
 
 from conftest import (
+    bernoulli_cond_loss,
     cvxpy_norm_regularized,
     exhaustive_hard_optimum,
     planted_euclidean,
@@ -193,7 +195,7 @@ def test_line_search_quadratic_segment_kkt_in_four_evals(rng):
 
 def test_line_search_bernoulli_cond_never_worse_than_endpoints(rng):
     X = rng.uniform(0.05, 0.95, size=(8, 3))
-    loss = _cond_problem(X, family("bernoulli"))
+    loss = bernoulli_cond_loss(X)
     h = 1e-6
     for _ in range(20):
         T = rng.normal(scale=3.0, size=X.shape)
@@ -314,6 +316,78 @@ def test_gcg_requires_a_segment():
     problem = SmoothProblem(shape=(3, 2), value_and_grad=lambda T: (0.0, np.zeros_like(T)))
     with pytest.raises(ValueError, match="segment"):
         gcg_minimize(problem, 0.5, d=2)
+
+
+# ------------------------------------------------- accelerated proximal gradient
+
+
+def test_prox_low_rank_target_takes_one_exact_step(rng):
+    # 0.5 ||T - C||^2 has curvature 1, so the first step, from 0 with L = 1,
+    # is the prox of C itself; for rank(C) <= d - 1 that is C / (1 + alpha)
+    C = rng.normal(size=(6, 1)) @ rng.normal(size=(1, 4))
+    alpha = 1e-2
+    res = prox_minimize(quadratic_loss(C), alpha, d=3)
+    assert res.iterations == 1 and res.converged and res.gap < 1e-12
+    assert np.allclose(res.T, C / (1.0 + alpha), rtol=0, atol=1e-12)
+    assert res.objective == pytest.approx(0.5 * alpha * np.sum(C * C) / (1.0 + alpha), rel=1e-12)
+
+
+def test_prox_zero_start_is_fixed_point():
+    res = prox_minimize(quadratic_loss(np.zeros((4, 3))), 0.5, d=3)
+    assert res.iterations == 0 and res.converged and res.gap == 0.0
+    assert not np.any(res.T)
+
+
+def test_prox_capped_at_zero_iterations_returns_zero():
+    C = np.random.default_rng(5).normal(size=(5, 3))
+    res = prox_minimize(quadratic_loss(C), 0.3, d=2, max_iter=0)
+    assert res.iterations == 0 and not np.any(res.T) and res.norm == 0.0
+    assert not res.converged
+    assert res.gap == pytest.approx(cluster_norm_dual(C, 2) ** 2 / 0.6, rel=1e-12)
+    assert res.trace == [{"iteration": 0, "objective": 0.5 * np.sum(C * C), "gap": res.gap}]
+
+
+def test_prox_trace_keeps_its_keys_and_descends(rng):
+    # the bernoulli loss is not quadratic: backtracking and momentum both run
+    X = rng.uniform(0.05, 0.95, size=(9, 4))
+    res = prox_minimize(bernoulli_cond_loss(X), 1e-2, d=3, tol=1e-9)
+    assert res.converged and res.iterations > 1
+    assert [row["iteration"] for row in res.trace] == list(range(res.iterations + 1))
+    assert all(set(row) == {"iteration", "objective", "gap"} for row in res.trace)
+    objs = [row["objective"] for row in res.trace]
+    assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+    assert res.trace[-1]["objective"] == res.objective and res.trace[-1]["gap"] == res.gap
+    assert res.norm == pytest.approx(cluster_norm(res.T, 3), rel=1e-10)
+
+
+def test_prox_certified_solves_meet_optimality_identities():
+    # GCG's instances, every one certified here: dual(G) = alpha norm(T)
+    # and <G, T> = -alpha norm(T)^2 at the optimum, with G = T - C
+    rng = np.random.default_rng(3)
+    instances = [((6, 3), 0.8, 2), ((6, 3), 0.3, 2), ((8, 4), 0.5, 2),
+                 ((5, 3), 2.0, 3), ((7, 4), 0.2, 3), ((6, 3), 0.3, 3)]
+    for shape, alpha, d in instances:
+        C = rng.normal(size=shape)
+        res = prox_minimize(quadratic_loss(C), alpha, d=d, tol=1e-10)
+        assert res.converged and res.gap < 1e-10
+        G = res.T - C
+        scale = 1e-9 * max(1.0, alpha * res.norm**2)
+        assert abs(cluster_norm_dual(G, d) - alpha * res.norm) <= scale
+        assert abs(np.sum(G * res.T) + alpha * res.norm**2) <= scale
+
+
+def test_prox_raises_on_nonfinite():
+    def value_and_grad(T):
+        if np.any(T):  # blow up once the iterate leaves the origin
+            return np.nan, np.full_like(T, np.nan)
+        return 1.0, np.ones_like(T)
+
+    problem = SmoothProblem(shape=(3, 2), value_and_grad=value_and_grad)
+    with pytest.raises(SolverDivergence, match="non-finite"):
+        prox_minimize(problem, 0.5, d=2, max_iter=10)
+    with pytest.raises(SolverDivergence, match="iteration 0"):
+        prox_minimize(SmoothProblem(shape=(3, 2), value_and_grad=lambda T: (np.inf, T)),
+                      0.5, d=2)
 
 
 def row_steps(fam, X, anchors, mu, lip=None):
