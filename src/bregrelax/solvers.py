@@ -21,7 +21,8 @@ Four engines, kept independent of any particular clustering model:
   whose distance from an exact row solve enters the stop test) from the
   spectral ones (the closed-form ``rowsum`` projection), with over-relaxed
   updates and a penalty balanced on normalized residuals (Boyd et al.,
-  2011, sections 3.4.1, 3.4.3 and 3.4.4).
+  2011, sections 3.4.1, 3.4.3 and 3.4.4), Anderson-extrapolated at a fixed
+  penalty with a fallback to the plain step; the stop test is unchanged.
 """
 
 import warnings
@@ -425,91 +426,97 @@ class AdmmResult:
 ADMM_MU0 = 1.0
 ADMM_RELAX = 1.6
 ADMM_ROW_STEPS = 4
+ADMM_MEMORY = 3  # Anderson memory: step differences extrapolated from at one mu
+
+
+def _anderson(f, r, dF, dR):
+    """Type-II Anderson point f - dF gamma, gamma = argmin ||r - dR gamma|| (normal
+    equations, 1e-10 * trace ridge; Walker & Ni, 2011): f and r are the last step's
+    F value and residual, dF and dR the differences of those between consecutive steps."""
+    gram = np.array([[np.vdot(a, b) for b in dR] for a in dR])
+    ridge = (1e-10 * np.trace(gram) + 1e-300) * np.eye(len(dR))
+    x = f.copy()
+    for g, a in zip(np.linalg.solve(gram + ridge, [np.vdot(a, r) for a in dR]), dF):
+        x -= g * a
+    return x
 
 
 def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
     """Minimize D_F(X, M X) over the ``simplex`` relaxation set by ADMM.
 
     Alternates (1) row-decoupled minimization of the loss plus proximity
-    to Z + mu * multiplier over row simplices, (2) projection of
-    R - mu * multiplier onto the ``rowsum`` set, (3) multiplier update by
-    (Z - R) / mu, where R = a M + (1 - a) Z is the over-relaxed row
-    iterate with a = ``ADMM_RELAX`` (Eckstein & Bertsekas, 1992; Boyd et
-    al., 2011, section 3.4.3).  Step (1) is inexact: ``ADMM_ROW_STEPS``
-    projected-gradient steps, whose M exactly minimizes the row objectives
-    shifted by a linear term, the row defect (``_admm_rows_pg``).  The
-    residuals are primal = ||M - Z||, dual = ||Z - Z_prev|| / mu and
-    defect = ||row defect||, all Frobenius; the solve terminates when all
-    three drop below tol * sqrt(t), so a certified M is an exact row step
-    up to the same tolerance as the splitting.  The penalty mu starts at
-    ``ADMM_MU0`` and is halved or doubled, within [1e-6, 1e6], when the
-    primal or dual residual exceeds the other by more than a factor of ten
-    after each is normalized by the scale of its iterates: primal by
-    max(||M||, ||Z||), dual by ||multiplier|| (Boyd et al., 2011, section
-    3.4.1).
+    to Z + U over row simplices, (2) projection of R - U onto the
+    ``rowsum`` set and (3) U <- U + Z - R, where U = mu * multiplier and
+    R = a M + (1 - a) Z is over-relaxed by a = ``ADMM_RELAX`` (Eckstein &
+    Bertsekas, 1992; Boyd et al., 2011, section 3.4.3).  Step (1) is
+    ``ADMM_ROW_STEPS`` projected-gradient steps, whose M exactly minimizes
+    the row objectives shifted by a linear term, the row defect
+    (``_admm_rows_pg``).  The solve stops when primal = ||M - Z||, dual =
+    ||Z - Z_prev|| / mu and defect = ||row defect|| (Frobenius) all drop
+    below tol * sqrt(t), so a certified M is an exact row step up to the
+    splitting's tolerance.  mu starts at ``ADMM_MU0`` and is halved or
+    doubled, within [1e-6, 1e6], when the primal or dual residual,
+    normalized by max(||M||, ||Z||) or ||multiplier||, exceeds the other
+    tenfold (Boyd et al., 2011, section 3.4.1).
 
-    Returns an AdmmResult whose ``M`` satisfies the row constraints exactly
-    (so M @ X stays inside the data hull) and whose ``Z`` satisfies the
-    spectral ones; at convergence they agree to within the tolerance.
+    Steps (1)-(3) are one map F of x = (M, Z, U).  At a fixed mu the next
+    x is the Anderson extrapolation of the last ``ADMM_MEMORY`` + 1 steps
+    (``_anderson``; Zhang, O'Donoghue & Boyd, 2020) instead of F(x).  A
+    change of mu clears that history, and so does the safeguard: a step
+    from an extrapolated x whose ||F(x) - x|| exceeds the previous step's
+    is discarded, and the run resumes from the previous F value.  Every
+    step is one iteration and one trace row; the stop test reads the step
+    just taken, whose residuals are KKT residuals from any (Z, U), so
+    ``converged`` keeps its meaning.  The returned M and Z are the last
+    step's: M has simplex rows (M @ X stays in the data hull; an
+    extrapolated M only warm-starts step (1)), Z is in ``rowsum``, and at
+    convergence they agree to the tolerance.
     """
     fam = family(fam)
     X = fam.check_domain(X)
     t = X.shape[0]
-    M = np.full((t, t), 1.0 / t)
-    Z = np.full((t, t), 1.0 / t)
-    Lam = np.zeros((t, t))
-    threshold = tol * np.sqrt(t)
-    trace = []
-    iteration = 0
-    converged = False
-    mu = ADMM_MU0
+    x = f = np.stack([np.full((t, t), 1.0 / t), np.full((t, t), 1.0 / t), np.zeros((t, t))])
+    threshold, trace, iteration, converged, mu = tol * np.sqrt(t), [], 0, False, ADMM_MU0
     # the euclidean row losses share the exact curvature bound lam_max(X X')
     lip = float(np.linalg.eigvalsh(X.T @ X)[-1]) if fam.name == "euclidean" else None
     eta = None if lip is not None else np.full(t, min(1.0, mu))
+    last, fallback, scale = None, None, 1.0
     for iteration in range(1, max_iter + 1):
-        anchors = Z + mu * Lam
+        mu, scale, (M_in, Z_in, U) = mu * scale, 1.0, x  # a new mu takes effect here
         if eta is not None:
-            # backtracking only shrinks steps within a call; regrow between
-            # calls so one hard subproblem cannot pin the rest of the run
+            # backtracking only shrinks steps: regrow them so one hard row cannot pin the run
             np.minimum(eta * 1.5, 1e6, out=eta)
-        M, row_defect = _admm_rows_pg(fam, X, M, anchors, mu, lip=lip, eta=eta)
+        M, row_defect = _admm_rows_pg(fam, X, M_in, Z_in + U, mu, lip=lip, eta=eta)
+        relaxed = ADMM_RELAX * M + (1.0 - ADMM_RELAX) * Z_in
+        Z = project_rowsum(relaxed - U, d)
+        f = np.stack([M, Z, U + Z - relaxed])
+        primal, dual = float(np.linalg.norm(M - Z)), float(np.linalg.norm(Z - Z_in) / mu)
         defect = float(np.linalg.norm(row_defect))
-        relaxed = ADMM_RELAX * M + (1.0 - ADMM_RELAX) * Z
-        Z_new = project_rowsum(relaxed - mu * Lam, d)
-        Lam = Lam + (Z_new - relaxed) / mu
-        primal = float(np.linalg.norm(M - Z_new))
-        dual = float(np.linalg.norm(Z_new - Z) / mu)
-        Z = Z_new
-        objective = rowwise_objective(fam, X, M)
-        trace.append(
-            {
-                "iteration": iteration,
-                "objective": objective,
-                "primal": primal,
-                "dual": dual,
-                "defect": defect,
-                "mu": mu,
-            }
-        )
-        if max(primal, dual, defect) < threshold:
-            converged = True
+        trace.append({"iteration": iteration, "objective": rowwise_objective(fam, X, M),
+                      "primal": primal, "dual": dual, "defect": defect, "mu": mu})
+        converged = bool(max(primal, dual, defect) < threshold)
+        if converged:
             break
+        r = f - x
+        res = float(np.linalg.norm(r))
+        if fallback is not None and res > last[2]:
+            x, last, fallback = fallback, None, None  # the safeguard rejects x
+            continue
+        dF, dR = (([], []) if last is None else  # a history starts after each restart
+                  ((dF + [f - last[0]])[-ADMM_MEMORY:], (dR + [r - last[1]])[-ADMM_MEMORY:]))
+        last = (f, r, res)
         # balance the residuals relative to the scales of their iterates;
         # the defect stays out: counted with the dual, it drives mu up and
         # leaves the primal residual above 1 on criterion 07's instances
         rel_primal = primal / max(np.linalg.norm(M), np.linalg.norm(Z), 1e-300)
-        rel_dual = dual / max(np.linalg.norm(Lam), 1e-300)
-        if rel_primal > 10.0 * rel_dual and mu > 1e-6:
-            mu *= 0.5
-        elif rel_dual > 10.0 * rel_primal and mu < 1e6:
-            mu *= 2.0
-    objective = rowwise_objective(fam, X, M)
-    return AdmmResult(
-        M=M,
-        Z=Z,
-        multiplier=Lam,
-        objective=objective,
-        iterations=iteration,
-        converged=converged,
-        trace=trace,
-    )
+        rel_dual = dual / max(np.linalg.norm(f[2]) / mu, 1e-300)
+        scale = (0.5 if rel_primal > 10.0 * rel_dual and mu > 1e-6 else
+                 2.0 if rel_dual > 10.0 * rel_primal and mu < 1e6 else 1.0)
+        if scale != 1.0:  # U = mu * multiplier follows mu, and the history restarts
+            x, last, fallback = f * np.array([1.0, 1.0, scale])[:, None, None], None, None
+        elif dF:
+            x, fallback = _anderson(f, r, dF, dR), f
+        else:
+            x, fallback = f, None
+    return AdmmResult(f[0], f[1], f[2] / mu, rowwise_objective(fam, X, f[0]), iteration,
+                      converged, trace)

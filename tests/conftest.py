@@ -111,6 +111,40 @@ def simplex_project(v):
     return np.maximum(v - theta, 0.0)
 
 
+def assert_simplex_projection(V, P):
+    """Check P's rows are the projections of V's onto the probability simplex.
+
+    By the variational inequality, p = P(v) exactly when p lies on the
+    simplex and <v - p, z - p> <= 0 for every simplex point z.  That
+    maximum over z is a linear program whose value is the largest entry
+    of v - p, so no projection algorithm enters the check.
+    """
+    V, P = np.atleast_2d(V), np.atleast_2d(P)
+    scale = 1e-12 * (1.0 + np.abs(V).max(axis=1)) * V.shape[1]
+    assert np.all(P >= 0.0)
+    assert np.all(np.abs(P.sum(axis=1) - 1.0) <= scale)
+    G = V - P
+    assert np.all(G.max(axis=1) - np.sum(G * P, axis=1) <= scale)
+
+
+def assert_box_budget_projection(sigma, budget, p):
+    """Check p is the projection of sigma onto {z in [0, 1]^r : sum z <= budget}.
+
+    The variational inequality again: the maximum of <g, z> over that set,
+    g = sigma - p, takes the top floor(budget) positive entries of g whole
+    and the budget's fraction of the next one.
+    """
+    sigma, p = np.asarray(sigma, dtype=float), np.asarray(p, dtype=float)
+    scale = 1e-12 * (1.0 + np.abs(sigma).sum())
+    assert np.all(p >= 0.0) and np.all(p <= 1.0)
+    assert p.sum() <= budget + scale
+    g = sigma - p
+    top = np.sort(np.maximum(g, 0.0))[::-1]
+    k = int(np.floor(budget))
+    support = top[:k].sum() + (budget - k) * (top[k] if k < top.size else 0.0)
+    assert support - g @ p <= scale
+
+
 def indicator(labels, d):
     """One-hot (t, d) assignment matrix from integer labels in [0, d)."""
     labels = np.asarray(labels, dtype=int)

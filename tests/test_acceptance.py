@@ -321,7 +321,7 @@ def test_criterion_06_admm_convergence():
 def test_criterion_07_planted_partition_recovery():
     start = time.time()
     results = {}
-    certified_jc = 0
+    certified_jc = iterations_jc = 0
     for model in ("cond-jc", "cond", "disc", "joint"):
         for d, t in ((2, 16), (3, 18)):
             hits = 0
@@ -341,6 +341,7 @@ def test_criterion_07_planted_partition_recovery():
                 sol = solve_relaxation(model, X, cfg)
                 if model == "cond-jc":
                     certified_jc += sol.converged
+                    iterations_jc += sol.iterations
                 rounded = spectral_round(sol.M, d, restarts=5,
                                          rng=np.random.default_rng(seed))
                 if matched_accuracy(rounded.labels, truth) == 1.0:
@@ -349,6 +350,9 @@ def test_criterion_07_planted_partition_recovery():
     assert all(hits >= 9 for hits in results.values()), results
     # ADMM certifies its residuals on all but at most one planted instance
     assert certified_jc >= 19, certified_jc
+    # a step count, not a timing: it repeats exactly, and plain ADMM took
+    # 12,311 steps here where the Anderson-accelerated solve takes 8,248
+    assert iterations_jc <= 9000, iterations_jc
     assert time.time() - start < 120.0
 
 

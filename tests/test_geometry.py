@@ -6,6 +6,8 @@ from bregrelax.geometry import simplex_project_rows
 
 from conftest import (
     RangeError,
+    assert_box_budget_projection,
+    assert_simplex_projection,
     cvxpy_project_rowsum,
     equivalence_from_assignment,
     indicator,
@@ -202,6 +204,30 @@ def test_simplex_project_rows_consistency(rng):
     for i in range(6):
         assert np.allclose(rows[i], simplex_project(V[i]), atol=1e-12)
     assert np.allclose(rows.sum(axis=1), 1.0)
+
+
+def test_simplex_project_rows_variational_inequality(rng):
+    # independent of the sorted-threshold algorithm: the linear-program
+    # optimality oracle, on spreads of scale, ties and single columns
+    for trial in range(300):
+        r = int(rng.integers(1, 30))
+        V = rng.normal(size=(8, r)) * rng.choice([1e-3, 0.3, 1.0, 30.0])
+        if trial % 4 == 0:
+            V = rng.integers(-3, 4, size=(8, r)) / 2.0  # repeated entries
+        assert_simplex_projection(V, simplex_project_rows(V))
+
+
+def test_capped_box_variational_inequality(rng):
+    for trial in range(2000):
+        r = int(rng.integers(1, 40))
+        if trial % 3 == 0:
+            sigma = rng.integers(-4, 8, size=r) / 2.0
+        else:
+            sigma = rng.normal(size=r) * rng.choice([0.3, 1.0, 3.0, 50.0])
+        budget = float(rng.uniform(0.1, r + 1.0))
+        if trial % 7 == 0:
+            budget = float(rng.integers(1, r + 2))  # integer budgets, some above r
+        assert_box_budget_projection(sigma, budget, capped_box_simplex_project(sigma, budget))
 
 
 def test_project_rowsum_uniform_fixed_point():

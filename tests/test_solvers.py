@@ -21,12 +21,16 @@ from bregrelax import (
 )
 from bregrelax.divergences import family
 from bregrelax.models import cond_objective
+from bregrelax import geometry, solvers
 from bregrelax.solvers import _admm_rows_pg
 
 from conftest import (
+    assert_box_budget_projection,
+    assert_simplex_projection,
     bernoulli_cond_loss,
     cvxpy_norm_regularized,
     exhaustive_hard_optimum,
+    planted_bernoulli,
     planted_euclidean,
     quadratic_loss,
     simplex_project,
@@ -542,6 +546,72 @@ def test_admm_trace_records_residuals(rng):
     res = admm_solve(X, 2, "euclidean", tol=1e-5, max_iter=2000)
     assert len(res.trace) == res.iterations
     assert {"iteration", "objective", "primal", "dual", "defect", "mu"} <= set(res.trace[0])
+
+
+def recording(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records (args, result) of each call."""
+    calls, original = [], getattr(module, name)
+
+    def record(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(([np.copy(a) if isinstance(a, np.ndarray) else a for a in args],
+                      np.copy(out[0] if isinstance(out, tuple) else out)))
+        return out
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def test_admm_safeguard_rejects_extrapolation_and_still_certifies(monkeypatch):
+    # on this instance some extrapolated point's step grows ||F(x) - x||, so
+    # the solve resumes from the F value before it: a row step whose input M
+    # is the output of the step before last rather than of the last one
+    X, _ = planted_bernoulli(12, 2, np.random.default_rng(0))
+    steps = recording(monkeypatch, solvers, "_admm_rows_pg")
+    res = admm_solve(X, 2, "bernoulli", tol=1e-5, max_iter=1000)
+    M_in = [args[2] for args, _ in steps]
+    M_out = [out for _, out in steps]
+    assert any(np.array_equal(M_in[k + 1], M_out[k - 1])
+               and not np.array_equal(M_in[k + 1], M_out[k]) for k in range(1, len(steps) - 1))
+    assert any(np.min(M) < 0.0 for M in M_in)  # an extrapolated M leaves the simplex
+    assert res.converged and len(res.trace) == res.iterations == len(steps)
+    assert np.linalg.norm(res.M - res.Z) == res.trace[-1]["primal"]
+    assert np.all(res.M >= 0.0) and np.allclose(res.M.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert check_membership(res.Z, 2, "rowsum")
+
+
+def test_admm_certifies_criterion_07_d3_seed6():
+    # criterion 07's closest instance: plain ADMM ends its 1000 steps with
+    # the dual residual just over the threshold
+    X, _ = planted_euclidean(18, 3, np.random.default_rng(306))
+    assert admm_solve(X, 3, "euclidean", tol=1e-5, max_iter=1000).converged
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_admm_certifies_tight_tolerance(seed):
+    # plain ADMM is still uncertified here after 4000 steps
+    X, _ = planted_euclidean(30, 3, np.random.default_rng(seed))
+    assert admm_solve(X, 3, "euclidean", tol=1e-6, max_iter=4000).converged
+
+
+@pytest.mark.parametrize("fam", ["euclidean", "bernoulli"])
+def test_every_admm_projection_meets_its_variational_inequality(monkeypatch, fam):
+    # the row-simplex and eigenvalue projections of a run, extrapolated
+    # steps included, each checked by its linear-program oracle
+    planted = planted_euclidean if fam == "euclidean" else planted_bernoulli
+    X, _ = planted(12, 2, np.random.default_rng(0))
+    rows = recording(monkeypatch, solvers, "simplex_project_rows")
+    eigs = recording(monkeypatch, geometry, "capped_box_simplex_project")
+    res = admm_solve(X, 2, fam, tol=1e-5, max_iter=60)
+    assert len(eigs) == res.iterations and len(rows) >= res.iterations * solvers.ADMM_ROW_STEPS
+    # the result is the last step's output, not the extrapolated point after it
+    assert np.linalg.norm(res.M - res.Z) == res.trace[-1]["primal"]
+    assert rowwise_objective(fam, X, res.M) == res.trace[-1]["objective"]
+    assert np.all(res.M >= 0.0) and check_membership(res.Z, 2, "rowsum")
+    for (V,), P in rows:
+        assert_simplex_projection(V, P)
+    for (sigma, budget), p in eigs:
+        assert_box_budget_projection(sigma, budget, p)
 
 
 def test_rowwise_objective_mean_matrix(rng):
