@@ -54,10 +54,8 @@ from .geometry import (
 from .models import (
     MODELS,
     ModelConfig,
-    alternating_hard,
     cond_objective,
     derived_rng,
-    soft_em,
     solve_cond,
     solve_cond_jc,
     solve_disc,

@@ -351,7 +351,7 @@ def _summary(**samples):
             for stat, reduce in (("mean", np.mean), ("std", np.std))}
 
 
-def run_experiment(spec, parsed=None):
+def run_cell(spec, parsed=None):
     """Execute one benchmark cell and aggregate its repeats.
 
     Relaxation models: solve, then round `restarts` times with
@@ -362,6 +362,7 @@ def run_experiment(spec, parsed=None):
     ``score`` reproduces each statistic from the persisted assignments
     exactly.  For ``alt-hard`` that score is also Lloyd's own objective:
     ``cond_objective`` reads Lloyd's cost.  ``parsed`` goes to ``prepare``.
+    Returns (record, solution); a baseline's solution is None.
     """
     ds, config = prepare(spec, parsed)
     fam = family(config.family)
@@ -371,6 +372,7 @@ def run_experiment(spec, parsed=None):
     softs = []
     m_sha = ""
     trace = []
+    solution = None
 
     if spec.model in RELAXATION_MODELS:
         solution = solve_relaxation(spec.model, X, config)
@@ -417,33 +419,30 @@ def run_experiment(spec, parsed=None):
     )
     if spec.out:
         persist_cell(record, spec, Path(spec.out))
-    return record
+    return record, solution
 
 
-def write_cell_files(out_dir, cell, assignments=None, trace=None):
-    """Write a cell's assignment CSV and iteration-trace JSONL.
-
-    ``<cell>_assignments.csv`` holds one comma-separated label row per
-    entry of ``assignments``; ``<cell>_trace.jsonl`` one sorted-key JSON
-    object per trace entry.  A ``None`` argument writes no file.  Lines
-    end in a bare newline on every platform.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if assignments is not None:
-        with open(out_dir / f"{cell}_assignments.csv", "w", newline="\n") as fh:
-            for labels in assignments:
-                fh.write(",".join(map(str, np.asarray(labels, dtype=int).tolist())) + "\n")
-    if trace is not None:
-        with open(out_dir / f"{cell}_trace.jsonl", "w", newline="\n") as fh:
-            for entry in trace:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+def run_experiment(spec, parsed=None):
+    """The record of ``run_cell``."""
+    return run_cell(spec, parsed)[0]
 
 
 def persist_cell(record, spec, out_dir):
-    """Write assignments and the iteration trace for one cell."""
+    """Write a cell's assignment CSV and, if it has a trace, its trace JSONL.
+
+    ``<cell>_assignments.csv`` holds one comma-separated label row per
+    labeling; ``<cell>_trace.jsonl`` one sorted-key JSON object per trace
+    entry.  Lines end in a bare newline on every platform.
+    """
     cell = spec.cell_name()
-    write_cell_files(out_dir, cell, record.assignments, record.trace or None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / f"{cell}_assignments.csv", "w", newline="\n") as fh:
+        for labels in record.assignments:
+            fh.write(",".join(map(str, np.asarray(labels, dtype=int).tolist())) + "\n")
+    if record.trace:
+        with open(out_dir / f"{cell}_trace.jsonl", "w", newline="\n") as fh:
+            for entry in record.trace:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
     record.assignment_file = f"{cell}_assignments.csv"
 
 

@@ -16,15 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import bench
-from .models import (
-    MODELS,
-    RELAXATION_MODELS,
-    alternating_hard,
-    cond_objective,
-    soft_em,
-    solve_relaxation,
-)
-from .rounding import matched_accuracy
+from .models import MODELS
 
 
 def _label_column(value):
@@ -160,34 +152,15 @@ def cmd_solve(args):
     if "dataset" not in values or "model" not in values:
         raise SystemExit("solve requires --data and --model")
     spec = bench.ExperimentSpec(**values)
-    ds, cfg = bench.prepare(spec)
-    summary = {"dataset": ds.name, "t": ds.t, "n": ds.n, "model": spec.model,
-               "transfer": spec.transfer, "clusters": cfg.d}
-    if spec.model in RELAXATION_MODELS:
-        sol = solve_relaxation(spec.model, ds.X, cfg)
-        summary.update(objective=sol.objective, converged=sol.converged,
-                       iterations=sol.iterations)
+    record, solution = bench.run_cell(spec)
+    summary = {column: getattr(record, column) for column in bench.CSV_COLUMNS}
+    if solution is not None:
+        summary.update(objective=solution.objective, converged=solution.converged)
         if spec.out:
-            out_dir = Path(spec.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            arrays = {"M": sol.M}
-            arrays.update({k: v for k, v in sol.auxiliaries.items()
-                           if isinstance(v, np.ndarray)})
-            np.savez(out_dir / f"{spec.cell_name()}_solution.npz", **arrays)
-            bench.write_cell_files(out_dir, spec.cell_name(), trace=sol.trace)
-            summary["out"] = str(out_dir)
-    else:
-        if spec.model == "alt-hard":
-            labels = alternating_hard(ds.X, cfg).labels
-        else:
-            labels = soft_em(ds.X, cfg).posteriors.argmax(axis=1)
-        # the hard objective of the labeling, the figure bench scores
-        objective = cond_objective(ds.X, labels, cfg.family)
-        summary.update(objective=objective, accuracy=matched_accuracy(labels, ds.labels),
-                       restarts=cfg.restarts)
-        if spec.out:
-            bench.write_cell_files(spec.out, spec.cell_name(), assignments=[labels])
-            summary["out"] = str(Path(spec.out))
+            arrays = {k: v for k, v in solution.auxiliaries.items() if isinstance(v, np.ndarray)}
+            np.savez(Path(spec.out) / f"{spec.cell_name()}_solution.npz", M=solution.M, **arrays)
+    if spec.out:
+        summary["out"] = spec.out
     print(json.dumps(summary, sort_keys=True))
     return 0
 

@@ -393,17 +393,11 @@ def _mixture_em(X, d, fam, rngs, max_iter=300, tol=1e-9):
 
 
 def soft_em_restarts(X, config):
-    """Mixture EM from each restart's derived generator, as one stack."""
-    rngs = [derived_rng(config.seed, 1, r) for r in range(config.restarts)]
-    return _mixture_em(X, config.d, config.family, rngs)
-
-
-def soft_em(X, config):
-    """Mixture EM under the chosen divergence; best of random restarts.
+    """Mixture EM from each restart's derived generator, as one stack.
 
     The per-point log-likelihood uses cluster weights q and the divergence
-    as the exponential-family log-density up to a carrier term, so the
-    trace is nondecreasing within each restart.
+    as the exponential-family log-density up to a carrier term, so each
+    restart's trace is nondecreasing.
     """
-    results = soft_em_restarts(X, config)
-    return results[int(np.argmax([r.loglik for r in results]))]
+    rngs = [derived_rng(config.seed, 1, r) for r in range(config.restarts)]
+    return _mixture_em(X, config.d, config.family, rngs)

@@ -21,13 +21,14 @@ from bregrelax import (
     emit_table,
     load_dataset,
     preprocess,
+    ResultRecord,
     run_experiment,
     run_grid,
     score_assignments,
     stratified_subsample,
 )
 from bregrelax import bench
-from bregrelax.bench import TRANSFERS, prepare, transfer_family, write_cell_files
+from bregrelax.bench import CSV_COLUMNS, TRANSFERS, persist_cell, prepare, transfer_family
 from bregrelax.cli import KNOBS, _bench_grid, build_parser, main, read_config
 
 from conftest import planted_euclidean
@@ -410,8 +411,6 @@ def test_score_assignments_validation(tmp_path):
 
 
 def _fake_record(**kw):
-    from bregrelax import ResultRecord
-
     base = dict(dataset="toy", t=10, n=2, model="alt-hard", transfer="linear",
                 clusters=2, alpha=1e-5, beta=1e-5, gamma=1e-6, seed=0,
                 obj_mean=160.0, obj_std=4.0, acc_mean=0.847, acc_std=0.088)
@@ -421,9 +420,10 @@ def _fake_record(**kw):
 
 def test_write_cell_files_label_rows_keep_their_bytes(tmp_path):
     rows = [np.array([0, 1, 2, 1]), [3, 0, 12], np.array([10, 105, 7], dtype=np.int64)]
-    write_cell_files(tmp_path, "cell", rows)
+    spec = ExperimentSpec(dataset="cell.csv", model="alt-hard")
+    persist_cell(_fake_record(assignments=rows), spec, tmp_path)
     old_format = "".join(",".join(str(int(v)) for v in r) + "\n" for r in rows)
-    written = (tmp_path / "cell_assignments.csv").read_bytes()
+    written = (tmp_path / "cell_alt-hard_linear_assignments.csv").read_bytes()
     assert written == old_format.encode() == b"0,1,2,1\n3,0,12\n10,105,7\n"
 
 
@@ -548,33 +548,42 @@ def test_knob_keys_are_the_spec_fields():
     assert set(KNOBS) == {f.name for f in fields(ExperimentSpec)}
 
 
+def _solve_rows(tmp_path, p, model, transfer="linear"):
+    """(prepared data, family, the label rows `solve --seed 1 --out sol` persisted)."""
+    spec = ExperimentSpec(dataset=str(p), model=model, transfer=transfer,
+                          label_column="label", seed=1)
+    ds, cfg = prepare(spec)
+    path = tmp_path / "sol" / f"{spec.cell_name()}_assignments.csv"
+    return ds, cfg.family, np.loadtxt(path, delimiter=",", dtype=int, ndmin=2)
+
+
 def test_cli_solve_baseline(tmp_path, capsys):
+    # the restart of least hard objective recovers the planted labels
     p = tmp_path / "blobs.csv"
     write_blobs(p)
-    rc = main(["solve", "--data", str(p), "--model", "alt-hard",
-               "--label-col", "label", "--restarts", "5", "--seed", "1"])
+    rc = main(["solve", "--data", str(p), "--model", "alt-hard", "--label-col", "label",
+               "--restarts", "5", "--seed", "1", "--out", str(tmp_path / "sol")])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["accuracy"] == 1.0
     assert summary["model"] == "alt-hard" and summary["clusters"] == 2
+    ds, fam, rows = _solve_rows(tmp_path, p, "alt-hard")
+    assert len(rows) == 5
+    best = rows[int(np.argmin(cond_objective(ds.X, list(rows), fam)))]
+    assert matched_accuracy(best, ds.labels) == 1.0
 
 
 @pytest.mark.parametrize("transfer", ["linear", "sigmoid"])
 @pytest.mark.parametrize("model", ["alt-hard", "soft-em"])
 def test_cli_solve_baseline_objective_is_hard_objective(tmp_path, capsys, model, transfer):
-    # every baseline reports the hard objective of its labeling, lower is better
+    # every baseline reports the mean hard objective of its labelings, lower is better
     p = tmp_path / "blobs.csv"
     write_blobs(p)
-    out = tmp_path / "sol"
     rc = main(["solve", "--data", str(p), "--model", model, "--transfer", transfer,
-               "--label-col", "label", "--seed", "1", "--out", str(out)])
+               "--label-col", "label", "--seed", "1", "--out", str(tmp_path / "sol")])
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
-    spec = ExperimentSpec(dataset=str(p), model=model, transfer=transfer,
-                          label_column="label", seed=1)
-    ds, cfg = prepare(spec)
-    labels = np.loadtxt(out / f"{spec.cell_name()}_assignments.csv", delimiter=",", dtype=int)
-    assert summary["objective"] == cond_objective(ds.X, labels, cfg.family)
+    ds, fam, rows = _solve_rows(tmp_path, p, model, transfer)
+    assert summary["obj_mean"] == float(np.mean(cond_objective(ds.X, list(rows), fam)))
 
 
 def test_cli_solve_relaxation_artifacts(tmp_path, capsys):
@@ -604,6 +613,47 @@ def test_cli_solve_trace_matches_bench_trace(tmp_path, capsys):
     solved = (tmp_path / "solve" / name).read_bytes()
     assert solved == (tmp_path / "bench" / "cells" / name).read_bytes()
     assert b"\r" not in solved and len(solved.splitlines()) > 1
+
+
+@pytest.mark.parametrize("model, transfer", [
+    ("cond-jc", "linear"), ("cond", "linear"), ("disc", "sigmoid"), ("joint", "linear"),
+    ("alt-hard", "linear"), ("soft-em", "linear"), ("soft-em", "sigmoid"),
+])
+def test_cli_solve_is_a_one_cell_bench(tmp_path, capsys, model, transfer):
+    # solve runs its cell as bench does: one results.csv row, one assignment file
+    p = tmp_path / "blobs.csv"
+    write_blobs(p)
+    flags = ["--data", str(p), "--model", model, "--transfer", transfer,
+             "--label-col", "label", "--seed", "2", "--restarts", "3"]
+    assert main(["solve", *flags, "--out", str(tmp_path / "A")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert main(["bench", *flags, "--out", str(tmp_path / "B")]) == 0
+    capsys.readouterr()
+    row = next(csv.DictReader((tmp_path / "B" / "results.csv").open()))
+    record = ResultRecord.from_row(row)
+    assert {c: summary[c] for c in CSV_COLUMNS} == {c: getattr(record, c) for c in CSV_COLUMNS}
+    name = f"blobs_{model}_{transfer}_assignments.csv"
+    assert summary["assignment_file"] == name
+    solved = (tmp_path / "A" / name).read_bytes()
+    assert solved == (tmp_path / "B" / "cells" / name).read_bytes()
+    assert len(solved.splitlines()) == 3
+
+
+def test_cli_solve_rounds_a_relaxation_and_score_reproduces_it(tmp_path, capsys):
+    p = tmp_path / "blobs.csv"
+    write_blobs(p)
+    out = tmp_path / "D"
+    assert main(["solve", "--data", str(p), "--model", "cond", "--label-col", "label",
+                 "--restarts", "3", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assign = out / "blobs_cond_linear_assignments.csv"
+    assert len(assign.read_text().splitlines()) == 3
+    assert main(["score", "--data", str(p), "--label-col", "label",
+                 "--assignments", str(assign)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["repeats"] == 3
+    assert stats["obj_mean"] == summary["obj_mean"]
+    assert stats["acc_mean"] == summary["acc_mean"]
 
 
 def test_cli_solve_requires_data_and_model():

@@ -6,7 +6,6 @@ import pytest
 from bregrelax import (
     MODELS,
     ModelConfig,
-    alternating_hard,
     check_membership,
     cluster_norm,
     cond_objective,
@@ -19,7 +18,6 @@ from bregrelax import (
     matched_accuracy,
     pairwise_divergence,
     rowwise_objective,
-    soft_em,
     solve_cond,
     solve_cond_jc,
     solve_disc,
@@ -36,6 +34,7 @@ from bregrelax.models import (
     _joint_problem,
     _joint_terms,
     _mixture_em,
+    alternating_hard,
     alternating_restarts,
     soft_em_restarts,
 )
@@ -615,7 +614,8 @@ def test_joint_hard_reopt_validates_labels():
 
 def test_soft_em_monotone_and_calibrated(rng):
     X, truth = planted_euclidean(12, 3, rng)
-    res = soft_em(X, small_config(d=3, restarts=6, seed=2))
+    runs = soft_em_restarts(X, small_config(d=3, restarts=6, seed=2))
+    res = max(runs, key=lambda r: r.loglik)
     trace = np.array(res.trace)
     assert np.all(np.diff(trace) >= -1e-9)
     assert np.allclose(res.posteriors.sum(axis=1), 1.0, atol=1e-10)
