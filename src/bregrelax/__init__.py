@@ -37,7 +37,7 @@ from .clusternorm import (
     cluster_norm_dual_subgradient,
     cluster_prox,
     recover_equivalence,
-    spectrum_waterfill,
+    waterfill,
 )
 from .divergences import (
     BERNOULLI_CLIP,

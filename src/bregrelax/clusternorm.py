@@ -11,74 +11,50 @@ separable program
     f(s) = min sum_i s_i^2 / sigma_i   s.t. sigma_i in [0, 1],
                                             sum_i sigma_i <= d - 1.
 
-f has a closed water-filling solution: the top k values saturate at
-sigma = 1 and the rest share the remaining budget proportionally to s_i.
-sqrt(f) is a symmetric gauge of s, hence a unitarily invariant norm of T;
-it equals the Frobenius norm whenever rank(T) <= d - 1 and grows toward a
+Its solution is the water level sigma_i = clip(c s_i, 0, 1) with sum sigma
+= d - 1 (``waterfill``; roundoff singular values count as zero), and f sums
+s_i^2 / sigma_i over sigma_i > 0.  sqrt(f) is a unitarily invariant norm of
+T; it equals the Frobenius norm whenever rank(T) <= d - 1 and grows toward a
 scaled trace norm as the spectrum spreads.  The dual norm is the Euclidean
 norm of the top d - 1 singular values.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass
-class WaterfillCertificate:
-    """Solution of the spectrum program: breakpoint, eigenvalues, value.
-
-    ``sigma`` is the optimal eigenvalue allocation (1 on the top ``k``
-    entries, proportional water-filling on the tail) and ``value`` equals
-    the squared norm of any matrix with this singular spectrum.
-    """
-
-    k: int
-    sigma: np.ndarray
-    value: float
+from .geometry import clip_level
 
 
-def spectrum_waterfill(s, d):
-    """Evaluate the squared-norm program on a nonincreasing spectrum.
+def waterfill(x, w, d):
+    """sigma minimizing sum x_i^2 / (sigma_i + w) over the program's capped simplex.
 
-    Scans breakpoints k = 0 .. d-2 for the smallest k whose tail sum covers
-    (d-1-k) times the next value; the scan is guaranteed to stop by
-    k = d - 2.  Spectra shorter than d - 1 are zero-padded.
+    x is a singular spectrum in any order (exact zeros for null directions),
+    w >= 0.  By the KKT conditions sigma_i = clip(c x_i - w, 0, 1) at the level
+    c where sum sigma = d - 1, or, with fewer than d positive x_i, 1 on them
+    and 0 elsewhere.
     """
     if d < 2:
         raise ValueError(f"cluster budget d must be at least 2, got {d}")
-    s = np.asarray(s, dtype=float).ravel()
-    if np.any(s < -1e-12):
+    x = np.asarray(x, dtype=float).ravel()
+    if (x < -1e-12).any():
         raise ValueError("singular spectrum must be nonnegative")
-    s = np.maximum(s, 0.0)
-    if np.any(np.diff(s) > 1e-9 * max(1.0, float(s.max(initial=0.0)))):
-        raise ValueError("singular spectrum must be nonincreasing")
-    if s.size < d - 1:
-        s = np.concatenate([s, np.zeros(d - 1 - s.size)])
-    t = s.size
+    live = x > 0.0
+    if np.count_nonzero(live) < d:
+        return live.astype(float)
+    return (clip_level(x[live], -w, d - 1) * x - w).clip(0.0, 1.0)
 
-    tails = np.concatenate([np.cumsum(s[::-1])[::-1], [0.0]])  # tails[k] = sum s[k:]
-    k = d - 2
-    for cand in range(d - 1):
-        if tails[cand] >= (d - 1 - cand) * s[cand]:
-            k = cand
-            break
 
-    tail = tails[k]
-    sigma = np.ones(t)
-    if tail > 0.0:
-        sigma[k:] = (d - 1 - k) * s[k:] / tail
-    else:
-        sigma[k:] = 0.0
-    value = float(np.sum(s[:k] ** 2) + tail**2 / (d - 1 - k))
-    return WaterfillCertificate(k=k, sigma=sigma, value=value)
+def _svd(T):
+    """Thin SVD of T, its roundoff singular values (numpy matrix_rank's threshold) set to 0."""
+    U, s, Vt = np.linalg.svd(T, full_matrices=False)
+    s[s <= s.max(initial=0.0) * max(T.shape) * np.finfo(float).eps] = 0.0
+    return U, s, Vt
 
 
 def cluster_norm(T, d):
     """Norm of a matrix under cluster budget d (full singular decomposition)."""
-    T = np.asarray(T, dtype=float)
-    s = np.linalg.svd(T, compute_uv=False)
-    return float(np.sqrt(max(spectrum_waterfill(s, d).value, 0.0)))
+    s = _svd(np.asarray(T, dtype=float))[1]
+    sigma = waterfill(s, 0.0, d)
+    return float(np.sqrt(np.sum(s[sigma > 0] ** 2 / sigma[sigma > 0])))
 
 
 def cluster_norm_dual(R, d):
@@ -110,22 +86,14 @@ def cluster_prox(Y, w, d):
 
     The norm is unitarily invariant, so T shares Y's singular vectors
     (Parikh & Boyd, "Proximal Algorithms", 2014, section 6.7): with
-    Y = U diag(x) V', T = U diag(x sigma / (sigma + w)) V', where sigma
-    minimizes sum x_i^2 / (sigma_i + w) over the program's capped simplex.
-    Its KKT conditions give sigma_i = clip(c x_i - w, 0, 1), with c found
-    by a breakpoint scan so that sum sigma = d - 1; if rank(Y) <= d - 1
-    the budget does not bind, every sigma_i is 1 and T = Y / (1 + w).
+    Y = U diag(x) V', T = U diag(x sigma / (sigma + w)) V' with sigma =
+    ``waterfill(x, w, d)``, and T = Y / (1 + w) if rank(Y) <= d - 1.
     """
     Y = np.asarray(Y, dtype=float)
-    U, x, Vt = np.linalg.svd(Y, full_matrices=False)
-    if np.count_nonzero(x > x.max(initial=0.0) * max(Y.shape) * np.finfo(float).eps) < d:
+    U, x, Vt = _svd(Y)
+    if np.count_nonzero(x) < d:
         return Y / (1.0 + w), float(np.sum(x * x)) / (1.0 + w) ** 2
-    # sum sigma is piecewise linear in c, bending where an entry leaves 0 or reaches 1
-    kinks = np.sort(np.concatenate([w / x[x > 0], (1.0 + w) / x[x > 0]]))
-    mass = np.clip(np.outer(kinks, x) - w, 0.0, 1.0).sum(axis=1)
-    j = int(np.searchsorted(mass, d - 1))  # mass[j - 1] < d - 1 <= mass[j]
-    c = kinks[j - 1] + (d - 1 - mass[j - 1]) * (kinks[j] - kinks[j - 1]) / (mass[j] - mass[j - 1])
-    sigma = np.clip(c * x - w, 0.0, 1.0)
+    sigma = waterfill(x, w, d)
     # T's squared norm is sum t_i^2 / sigma_i with t_i = x_i sigma_i / (sigma_i + w)
     return (U * (x * sigma / (sigma + w))) @ Vt, float(np.sum(x * x * sigma / (sigma + w) ** 2))
 
@@ -135,12 +103,13 @@ def recover_equivalence(T, d):
 
     One thin SVD T = U diag(s) V' gives (M, (sigma, U)) with sigma the
     water-filled s and M = (U * sigma) @ U.T, so tr(T' M^+ T) equals the
-    squared cluster norm and Im(T) lies within Im(M).  For T = 0 every M is
-    optimal; the zero matrix is returned, with eigenpairs None.
+    squared cluster norm and Im(T) lies within Im(M); if rank(T) <= d - 1, M
+    is the projector onto Im(T).  For T = 0 every M is optimal; the zero
+    matrix is returned, with eigenpairs None.
     """
     T = np.asarray(T, dtype=float)
     if not np.any(T):
         return np.zeros((len(T), len(T))), None
-    U, s, _ = np.linalg.svd(T, full_matrices=False)
-    sigma = spectrum_waterfill(s, d).sigma[: s.size]
+    U, s, _ = _svd(T)
+    sigma = waterfill(s, 0.0, d)
     return (U * sigma) @ U.T, (sigma, U)

@@ -15,8 +15,8 @@ set of such matrices are used throughout:
                 centering projector H = I - 11'/t.
 
 Projections onto ``rowsum`` reduce, after centering, to projecting the
-eigenvalue vector onto the box-capped budget set, which is solved exactly
-by a breakpoint scan.
+eigenvalue vector onto the box-capped budget set: a clipped water level,
+which ``clip_level`` finds here and for the cluster norm and its prox.
 """
 
 from dataclasses import dataclass, field
@@ -70,49 +70,45 @@ def check_membership(M, d, relaxation="rowsum", tol=1e-8):
     return MembershipReport(ok=not violations, worst=worst, violations=violations)
 
 
+def clip_level(slope, offset, budget):
+    """The level c at which sum_i clip(slope_i c + offset_i, 0, 1) = budget, 0 < budget < t.
+
+    Entry i rises from 0 to 1 over [-offset_i, 1 - offset_i] / slope_i (slopes
+    positive; either may be a scalar), so the sum is piecewise linear between
+    the 2t sorted kinks.  Bisection over them, evaluating the sum itself (a
+    running slope would cancel when slopes span decades), finds the crossing
+    segment in O(t log t), and c is solved from the entries rising there.
+    """
+    slope = np.asarray(slope, dtype=float)
+    lo = -np.asarray(offset, dtype=float) / slope
+    hi, t = lo + 1.0 / slope, lo.size
+    if not 0 < budget < t:
+        raise ValueError(f"budget must lie strictly between 0 and {t}, got {budget}")
+    at = np.sort(np.concatenate([lo, hi]))
+    a, b = 0, 2 * t - 1  # the sum is 0 at at[a] and t at at[b]
+    while b - a > 1:
+        m = (a + b) // 2
+        a, b = (m, b) if (slope * (at[m] - lo)).clip(0.0, 1.0).sum() < budget else (a, m)
+    rising = (lo < at[b]) & (hi >= at[b])
+    if not rising.any():  # a plateau that meets the budget up to roundoff
+        return at[b]
+    slope = np.full(t, slope)
+    c = (budget - np.count_nonzero(hi < at[b]) + slope[rising] @ lo[rising]) / slope[rising].sum()
+    return min(max(c, at[a]), at[b])  # evaluation roundoff can shift the bracket by a kink
+
+
 def capped_box_simplex_project(sigma, budget):
     """Project a vector onto {mu : mu_i in [0, 1], sum mu_i <= budget}.
 
-    Water-filling: mu_i = clip(sigma_i - lam, 0, 1) with the smallest
-    shift lam >= 0 meeting the budget.  lam is found by an exact scan over
-    the 2t sorted breakpoints {sigma_i, sigma_i - 1}, where the sum of the
-    clipped vector is piecewise linear in lam.  The sum is evaluated at
-    every breakpoint from one sort of sigma and its suffix sums, so the
-    scan costs O(t log t).
+    That is clip(sigma, 0, 1) if it meets the budget, else clip(sigma + c, 0, 1), c by clip_level.
     """
     sigma = np.asarray(sigma, dtype=float).ravel()
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     clipped = np.clip(sigma, 0.0, 1.0)
-    total = clipped.sum()
-    if total <= budget:
+    if clipped.sum() <= budget:
         return clipped
-
-    # g(lam) = sum clip(sigma - lam, 0, 1) is nonincreasing, piecewise linear
-    # with kinks exactly at the breakpoints; find the segment crossing budget.
-    points = np.unique(np.concatenate([sigma, sigma - 1.0]))
-    points = points[points > 0.0]
-    points = np.concatenate([[0.0], points])
-
-    # at lam, entries above lam + 1 add 1 each and entries in (lam, lam + 1)
-    # add sigma_i - lam; suffix sums of the sorted sigma give the latter
-    ordered = np.sort(sigma)
-    suffix = np.concatenate([np.cumsum(ordered[::-1])[::-1], [0.0]])
-    inside = np.searchsorted(ordered, points, side="right")
-    above = np.searchsorted(ordered, points + 1.0, side="left")
-    values = (sigma.size - above) + (suffix[inside] - suffix[above]) - points * (above - inside)
-    values[0] = total  # g(0), already known to exceed the budget
-    # First breakpoint where the sum has dropped to or below the budget; the
-    # crossing lies in the segment ending there (g(0) > budget is known).
-    k = int(np.argmax(values <= budget))
-    lo, hi = points[k - 1], points[k]
-    glo, ghi = values[k - 1], values[k]
-    if ghi == budget:
-        lam = hi
-    else:
-        # linear interpolation is exact inside a segment
-        lam = lo + (glo - budget) * (hi - lo) / (glo - ghi)
-    return np.clip(sigma - lam, 0.0, 1.0)
+    return (sigma + clip_level(1.0, sigma, budget)).clip(0.0, 1.0)
 
 
 def simplex_project_rows(V):

@@ -8,55 +8,77 @@ from bregrelax import (
     cluster_norm_dual_subgradient,
     cluster_prox,
     recover_equivalence,
-    spectrum_waterfill,
+    waterfill,
 )
 
 from conftest import grid_norm_squared, pinv_quadratic_form, random_feasible_sigma
 
 
+def squared_norm(s, sigma):
+    """The program's value at sigma: sum s_i^2 / sigma_i over sigma_i > 0."""
+    s, live = np.asarray(s, dtype=float), sigma > 0
+    return float(np.sum(s[live] ** 2 / sigma[live]))
+
+
+def saturated(sigma):
+    """Indices of the entries at the box bound sigma = 1."""
+    return np.flatnonzero(np.abs(sigma - 1.0) <= 1e-12).tolist()
+
+
 def test_waterfill_three_two_one():
-    cert = spectrum_waterfill([3.0, 2.0, 1.0], 3)
-    assert cert.k == 0
-    assert cert.value == pytest.approx(18.0, rel=1e-12)
-    assert np.allclose(cert.sigma, [1.0, 2.0 / 3.0, 1.0 / 3.0])
+    sigma = waterfill([3.0, 2.0, 1.0], 0.0, 3)
+    assert saturated(sigma) == [0]  # the level meets the box exactly at the head
+    assert squared_norm([3.0, 2.0, 1.0], sigma) == pytest.approx(18.0, rel=1e-12)
+    assert np.allclose(sigma, [1.0, 2.0 / 3.0, 1.0 / 3.0])
 
 
 def test_waterfill_two_one():
-    cert = spectrum_waterfill([2.0, 1.0], 2)
-    assert cert.value == pytest.approx(9.0, rel=1e-12)
-    assert np.allclose(cert.sigma, [2.0 / 3.0, 1.0 / 3.0])
+    sigma = waterfill([2.0, 1.0], 0.0, 2)
+    assert squared_norm([2.0, 1.0], sigma) == pytest.approx(9.0, rel=1e-12)
+    assert np.allclose(sigma, [2.0 / 3.0, 1.0 / 3.0])
 
 
 def test_waterfill_saturated_head():
     # large head saturates at 1, tail splits the leftover budget
-    cert = spectrum_waterfill([10.0, 1.0, 1.0], 3)
-    assert cert.k == 1
-    assert cert.sigma[0] == pytest.approx(1.0)
-    assert cert.value == pytest.approx(100.0 + 4.0, rel=1e-12)
+    sigma = waterfill([10.0, 1.0, 1.0], 0.0, 3)
+    assert saturated(sigma) == [0]
+    assert sigma[0] == pytest.approx(1.0)
+    assert squared_norm([10.0, 1.0, 1.0], sigma) == pytest.approx(100.0 + 4.0, rel=1e-12)
 
 
 def test_waterfill_low_rank_is_frobenius():
-    cert = spectrum_waterfill([2.0, 1.0, 0.0, 0.0], 4)
-    assert cert.value == pytest.approx(5.0, rel=1e-12)
-    assert np.allclose(cert.sigma[:2], 1.0)
+    sigma = waterfill([2.0, 1.0, 0.0, 0.0], 0.0, 4)
+    assert squared_norm([2.0, 1.0, 0.0, 0.0], sigma) == pytest.approx(5.0, rel=1e-12)
+    assert np.allclose(sigma[:2], 1.0)
 
 
 def test_waterfill_zero_spectrum():
-    cert = spectrum_waterfill(np.zeros(4), 3)
-    assert cert.value == 0.0
+    sigma = waterfill(np.zeros(4), 0.0, 3)
+    assert squared_norm(np.zeros(4), sigma) == 0.0
 
 
 def test_waterfill_pads_short_spectra():
-    assert spectrum_waterfill([5.0], 4).value == pytest.approx(25.0)
+    # a spectrum shorter than d - 1: the budget does not bind
+    assert squared_norm([5.0], waterfill([5.0], 0.0, 4)) == pytest.approx(25.0)
 
 
 def test_waterfill_input_validation():
     with pytest.raises(ValueError):
-        spectrum_waterfill([1.0, 2.0], 3)  # increasing
+        waterfill([1.0, -0.5], 0.0, 3)
     with pytest.raises(ValueError):
-        spectrum_waterfill([1.0, -0.5], 3)
-    with pytest.raises(ValueError):
-        spectrum_waterfill([1.0], 1)
+        waterfill([1.0], 0.0, 1)
+
+
+def test_waterfill_of_a_permuted_spectrum_is_the_permuted_sigma(rng):
+    # no order is assumed: permuting the spectrum permutes the allocation
+    for _ in range(40):
+        d = int(rng.integers(2, 6))
+        s = np.sort(rng.uniform(0.05, 4.0, size=int(rng.integers(1, 9))))[::-1]
+        s[rng.random(s.size) < 0.2] = 0.0
+        perm = rng.permutation(s.size)
+        for w in (0.0, float(rng.uniform(0.01, 2.0))):
+            got, want = waterfill(s[perm], w, d), waterfill(s, w, d)[perm]
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_waterfill_matches_grid_oracle(rng):
@@ -64,9 +86,9 @@ def test_waterfill_matches_grid_oracle(rng):
         d = int(rng.integers(2, 5))
         r = int(rng.integers(1, 7))
         s = np.sort(rng.uniform(0.05, 4.0, size=r))[::-1]
-        cert = spectrum_waterfill(s, d)
+        value = squared_norm(s, waterfill(s, 0.0, d))
         ref = grid_norm_squared(s, d)
-        assert cert.value == pytest.approx(ref, rel=1e-5)
+        assert value == pytest.approx(ref, rel=1e-5)
 
 
 def test_waterfill_feasible_probe_certificates(rng):
@@ -74,13 +96,13 @@ def test_waterfill_feasible_probe_certificates(rng):
     for _ in range(40):
         d = int(rng.integers(2, 5))
         s = np.sort(rng.uniform(0.1, 3.0, size=5))[::-1]
-        cert = spectrum_waterfill(s, d)
-        assert cert.sigma.max() <= 1.0 + 1e-12
-        assert cert.sigma.sum() <= d - 1 + 1e-9
+        sigma = waterfill(s, 0.0, d)
+        assert sigma.max() <= 1.0 + 1e-12
+        assert sigma.sum() <= d - 1 + 1e-9
         probe = random_feasible_sigma(5, d - 1, rng)
         mask = probe > 1e-12
         val = np.sum(s[mask] ** 2 / probe[mask]) + (np.inf if np.any(s[~mask] > 0) else 0.0)
-        assert cert.value <= val + 1e-8
+        assert squared_norm(s, sigma) <= val + 1e-8
 
 
 def test_norm_axioms(rng):
@@ -173,6 +195,19 @@ def test_recover_equivalence_rank_bound(rng):
     assert U.shape == (8, 5) and sigma.shape == (5,) and np.sum(sigma) <= 2.0 + 1e-12
 
 
+def test_recover_equivalence_gives_roundoff_no_budget():
+    # a rank-1 T: its roundoff singular values get no eigenvalue budget, so M
+    # is the projector onto Im(T) and the norm is Frobenius
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(8, 1))
+    T = a @ rng.normal(size=(1, 5))
+    M, (sigma, U) = recover_equivalence(T, 4)
+    assert np.array_equal(sigma, [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.allclose(M, a @ a.T / np.sum(a * a), rtol=0.0, atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(M), [0.0] * 7 + [1.0], rtol=0.0, atol=1e-12)
+    assert cluster_norm(T, 4) == pytest.approx(np.linalg.norm(T), rel=1e-12)
+
+
 def test_recover_equivalence_zero_is_zero_matrix():
     M, eigenpairs = recover_equivalence(np.zeros((4, 2)), 3)
     assert M.shape == (4, 4) and not np.any(M)
@@ -195,7 +230,7 @@ def test_prox_norm_is_the_waterfill_of_its_output(rng):
         w = float(rng.uniform(1e-4, 2.0))
         T, norm2 = cluster_prox(Y, w, d)
         s = np.linalg.svd(T, compute_uv=False)
-        assert norm2 == pytest.approx(spectrum_waterfill(s, d).value, rel=1e-10, abs=1e-14)
+        assert norm2 == pytest.approx(squared_norm(s, waterfill(s, 0.0, d)), rel=1e-10, abs=1e-14)
         # first-order optimality: Y - T is w times a subgradient of norm^2 / 2 at T
         assert cluster_norm_dual(Y - T, d) == pytest.approx(w * np.sqrt(norm2), rel=1e-8)
         assert np.sum((Y - T) * T) == pytest.approx(w * norm2, rel=1e-8)

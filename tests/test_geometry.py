@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bregrelax import capped_box_simplex_project, check_membership, project_rowsum
-from bregrelax.geometry import simplex_project_rows
+from bregrelax.geometry import clip_level, simplex_project_rows
 
 from conftest import (
     RangeError,
@@ -86,6 +86,49 @@ def test_membership_centered_budget():
 def test_membership_rejects_unknown_set():
     with pytest.raises(ValueError):
         check_membership(np.eye(2), 2, "m9")
+
+
+def test_clip_level_meets_the_budget(rng):
+    # slopes spanning eight decades, offsets drawn from a few repeated values
+    # or spread, and every third budget placed exactly on a kink of the sum
+    for trial in range(1500):
+        t = int(rng.integers(1, 40))
+        slope = 10.0 ** rng.uniform(-4.0, 4.0, size=t)
+        if trial % 2:
+            offset = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0], size=t)
+        else:
+            offset = rng.normal(size=t) * rng.choice([0.3, 3.0, 30.0])
+        if trial % 3 == 0:
+            kinks = np.concatenate([-offset, 1.0 - offset]) / np.concatenate([slope, slope])
+            budget = float(np.clip(slope * rng.choice(kinks) + offset, 0.0, 1.0).sum())
+        elif trial % 3 == 1:
+            budget = float(rng.integers(1, t + 1))  # integers: the plateaus' own values
+        else:
+            budget = float(rng.uniform(0.0, t))
+        if not 0.0 < budget < t:
+            continue
+        c = clip_level(slope, offset, budget)
+        assert np.clip(slope * c + offset, 0.0, 1.0).sum() == pytest.approx(budget, rel=1e-12)
+
+
+def test_clip_level_on_spectra_spanning_sixteen_decades(rng):
+    # water-filling slopes: O(1) singular values beside ones near roundoff,
+    # with integer budgets that make the small ones carry the level
+    for _ in range(3000):
+        t = int(rng.integers(2, 9))
+        x = rng.uniform(0.1, 5.0, size=t)
+        small = rng.permutation(t)[: int(rng.integers(1, t))]
+        x[small] *= rng.choice([1e-16, 1e-14, 1e-12], size=small.size)
+        w = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        budget = float(rng.integers(1, t))
+        c = clip_level(x, -w, budget)
+        assert np.clip(x * c - w, 0.0, 1.0).sum() == pytest.approx(budget, rel=1e-12)
+
+
+def test_clip_level_rejects_an_unreachable_budget():
+    for budget in (0.0, 3.0, -1.0):
+        with pytest.raises(ValueError):
+            clip_level([1.0, 2.0, 3.0], 0.0, budget)
 
 
 def test_capped_box_interior_point():
