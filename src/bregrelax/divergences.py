@@ -44,7 +44,8 @@ class EuclideanFamily:
 
     Each family gives ``check_domain`` (validate into the open domain),
     ``clamp`` (pull a computed mean such as M X back into it), F, f, f_inv,
-    F* and ``transfer_derivative`` f' = F''.
+    F*, ``transfer_derivative`` f' = F'' and ``curvature(x, y)``, the
+    second derivative of D_F(x, y) in y.
     """
 
     name = "euclidean"
@@ -70,6 +71,9 @@ class EuclideanFamily:
 
     def transfer_derivative(self, x):
         return np.ones_like(np.asarray(x, dtype=float))
+
+    def curvature(self, x, y):
+        return np.ones_like(np.asarray(y, dtype=float))
 
 
 class BernoulliFamily:
@@ -116,6 +120,9 @@ class BernoulliFamily:
 
     def transfer_derivative(self, x):
         return 1.0 / (x * (1.0 - x))
+
+    def curvature(self, x, y):
+        return x / (y * y) + (1.0 - x) / ((1.0 - y) * (1.0 - y))
 
 
 _FAMILIES = {f.name: f for f in (EuclideanFamily(), BernoulliFamily())}

@@ -90,6 +90,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         family(self.family)  # raises on unknown names
 
 

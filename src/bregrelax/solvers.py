@@ -18,11 +18,12 @@ Four engines, kept independent of any particular clustering model:
 * ``admm_solve`` -- alternating direction method for minimizing the primal
   divergence D_F(X, M X) over the ``simplex`` relaxation set, splitting the
   row-simplex constraints (a few projected-gradient steps per iteration,
-  whose distance from an exact row solve enters the stop test) from the
-  spectral ones (the closed-form ``rowsum`` projection), with over-relaxed
-  updates and a penalty balanced on normalized residuals (Boyd et al.,
-  2011, sections 3.4.1, 3.4.3 and 3.4.4), Anderson-extrapolated at a fixed
-  penalty with a fallback to the plain step; the stop test is unchanged.
+  each scaled to its row's curvature, whose distance from an exact row
+  solve enters the stop test) from the spectral ones (the closed-form
+  ``rowsum`` projection), with over-relaxed updates and a penalty balanced
+  on normalized residuals (Boyd et al., 2011, sections 3.4.1, 3.4.3 and
+  3.4.4), Anderson-extrapolated at a fixed penalty with a fallback to the
+  plain step; the stop test is unchanged.
 """
 
 import warnings
@@ -343,73 +344,48 @@ def rowwise_objective(fam, X, M):
     return float(max(np.sum(vals), 0.0))
 
 
-def _admm_rows_pg(fam, X, M, anchors, mu, lip, eta):
+def _admm_rows_pg(fam, X, M, anchors, mu):
     """All ADMM row subproblems at once, solved inexactly.
 
     Row i minimizes D_F(X_i, m X) + ||m - anchors_i||^2 / (2 mu) over the
     simplex.  ``ADMM_ROW_STEPS`` plain projected-gradient steps start from
-    the rows of M.  Steps are fixed at 1 / (lip + 1/mu) when a curvature
-    bound ``lip`` is given, otherwise (``lip`` None) backtracked per row
-    from the per-row steps ``eta``, which are updated in place to
-    warm-start the next call.
+    the rows of M.  A step on row i has length 1 / (L_i + 1/mu), L_i the
+    lesser of two bounds on the row loss's Hessian X diag(h_i) X' at the
+    step's start, h_i = ``fam.curvature(X_i, m_i X)``: max(h_i) lam_max(X'X)
+    and Gershgorin's max_k sqrt(h_ik) sum_l |X'X|_kl sqrt(h_il).  For
+    euclidean (h = 1) that is the fixed step 1 / (lam_max(X'X) + 1/mu).
 
     Returns ``(M, defect)``.  With g the loss gradient (no proximal term)
-    and eta_i the step the last step took on row i,
+    and L_i the bound the last step took on row i,
 
-        defect_i = g_i(M_K) - g_i(M_{K-1}) - (M_K - M_{K-1})_i (1/eta_i - 1/mu)
+        defect_i = g_i(M_K) - g_i(M_{K-1}) - (M_K - M_{K-1})_i L_i
 
-    (the factor is ``lip`` for fixed steps).  The last step's projection
-    optimality then says M_K exactly minimizes each row objective minus
-    <defect_i, m> over the simplex, so ||defect|| measures how far the
-    inexact row step is from an exact one (Boyd et al., 2011, section
-    3.4.4), and ``admm_solve`` counts it in its stop test.
+    The last step's projection optimality then says M_K exactly minimizes
+    each row objective minus <defect_i, m> over the simplex, whatever the
+    step lengths, so ||defect|| measures how far the inexact row step is
+    from an exact one (Boyd et al., 2011, section 3.4.4), and
+    ``admm_solve`` counts it in its stop test.  Rows stay in the simplex,
+    so y stays in the data hull and h stays finite.
     """
-    def row_values(B, rows):
-        loss = row_divergence(fam, X[rows], fam.clamp(B @ X))
-        prox = 0.5 * np.sum((B - anchors[rows]) ** 2, axis=1) / mu
-        return loss + prox
+    gram = X.T @ X
+    lam, gram = np.linalg.eigvalsh(gram)[-1], np.abs(gram)
 
-    def loss_grads(B):
+    def state(B):
+        """Loss gradients and curvature bounds of the rows B."""
         Y = fam.clamp(B @ X)
-        return ((Y - X) * fam.transfer_derivative(Y)) @ X.T
+        H = fam.curvature(X, Y)
+        R = np.sqrt(H)
+        L = np.minimum(H.max(axis=1) * lam, np.max(R * (R @ gram), axis=1))
+        return ((Y - X) * fam.transfer_derivative(Y)) @ X.T, L
 
-    t = M.shape[0]
     M = simplex_project_rows(M)
-    vals = row_values(M, np.arange(t))
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise SolverDivergence(f"non-finite row objective at row {bad}")
-    fixed = lip is not None
-    if fixed:
-        eta = np.full(t, 1.0 / (lip + 1.0 / mu))
-    grads = loss_grads(M)
+    grads, L = state(M)
     for _ in range(ADMM_ROW_STEPS):
-        step = grads + (M - anchors) / mu
-        if fixed:
-            M_new = simplex_project_rows(M - eta[:, None] * step)
-        else:
-            M_new = np.empty_like(M)
-            pending = np.ones(t, dtype=bool)
-            while np.any(pending):
-                p = np.flatnonzero(pending)
-                trial = simplex_project_rows(M[p] - eta[p, None] * step[p])
-                delta = trial - M[p]
-                tvals = row_values(trial, p)
-                bound = (
-                    vals[p]
-                    + np.sum(step[p] * delta, axis=1)
-                    + 0.5 * np.sum(delta**2, axis=1) / eta[p]
-                    + 1e-12 * (1.0 + np.abs(vals[p]))
-                )
-                accept = (tvals <= bound) | (eta[p] < 1e-18)
-                M_new[p[accept]] = trial[accept]
-                vals[p[accept]] = tvals[accept]
-                pending[p[accept]] = False
-                eta[p[~accept]] *= 0.5
-        M_prev, grads_prev = M, grads
-        M, grads = M_new, loss_grads(M_new)
-    factor = lip if fixed else (1.0 / eta - 1.0 / mu)[:, None]
-    return M, grads - grads_prev - (M - M_prev) * factor
+        eta = 1.0 / (L + 1.0 / mu)
+        M_prev, grads_prev, L_prev = M, grads, L
+        M = simplex_project_rows(M - eta[:, None] * (grads + (M - anchors) / mu))
+        grads, L = state(M)
+    return M, grads - grads_prev - (M - M_prev) * L_prev[:, None]
 
 
 @dataclass
@@ -449,8 +425,9 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
     ``rowsum`` set and (3) U <- U + Z - R, where U = mu * multiplier and
     R = a M + (1 - a) Z is over-relaxed by a = ``ADMM_RELAX`` (Eckstein &
     Bertsekas, 1992; Boyd et al., 2011, section 3.4.3).  Step (1) is
-    ``ADMM_ROW_STEPS`` projected-gradient steps, whose M exactly minimizes
-    the row objectives shifted by a linear term, the row defect
+    ``ADMM_ROW_STEPS`` projected-gradient steps, each row's length set
+    afresh from a bound on its curvature, whose M exactly minimizes the
+    row objectives shifted by a linear term, the row defect
     (``_admm_rows_pg``).  The solve stops when primal = ||M - Z||, dual =
     ||Z - Z_prev|| / mu and defect = ||row defect|| (Frobenius) all drop
     below tol * sqrt(t), so a certified M is an exact row step up to the
@@ -477,16 +454,10 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
     t = X.shape[0]
     x = f = np.stack([np.full((t, t), 1.0 / t), np.full((t, t), 1.0 / t), np.zeros((t, t))])
     threshold, trace, iteration, converged, mu = tol * np.sqrt(t), [], 0, False, ADMM_MU0
-    # the euclidean row losses share the exact curvature bound lam_max(X X')
-    lip = float(np.linalg.eigvalsh(X.T @ X)[-1]) if fam.name == "euclidean" else None
-    eta = None if lip is not None else np.full(t, min(1.0, mu))
     last, fallback, scale = None, None, 1.0
     for iteration in range(1, max_iter + 1):
         mu, scale, (M_in, Z_in, U) = mu * scale, 1.0, x  # a new mu takes effect here
-        if eta is not None:
-            # backtracking only shrinks steps: regrow them so one hard row cannot pin the run
-            np.minimum(eta * 1.5, 1e6, out=eta)
-        M, row_defect = _admm_rows_pg(fam, X, M_in, Z_in + U, mu, lip=lip, eta=eta)
+        M, row_defect = _admm_rows_pg(fam, X, M_in, Z_in + U, mu)
         relaxed = ADMM_RELAX * M + (1.0 - ADMM_RELAX) * Z_in
         Z = project_rowsum(relaxed - U, d)
         f = np.stack([M, Z, U + Z - relaxed])

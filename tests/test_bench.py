@@ -7,8 +7,12 @@ round-trips run in-process through main(argv).
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +370,17 @@ def test_cli_solve_rejects_more_clusters_than_points(tmp_path):
     with pytest.raises(SystemExit, match="^bregrelax solve: clusters=17 exceeds the t=16 points"):
         main(["solve", "--data", str(p), "--model", "alt-hard", "--label-col", "label",
               "--clusters", "17"])
+
+
+def test_cli_solve_rejects_a_negative_max_iter(tmp_path):
+    p = tmp_path / "blobs.csv"
+    write_blobs(p)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "bregrelax.cli", "solve", "--data", str(p),
+                           "--model", "cond-jc", "--label-col", "label", "--max-iter", "-1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "bregrelax solve: max_iter must be nonnegative, got -1\n"
 
 
 def test_cli_reports_a_missing_data_file(tmp_path):

@@ -162,6 +162,18 @@ def test_conjugate_grad_matches_finite_differences(rng):
         assert np.linalg.norm(fd - grad) <= 1e-5 * (1.0 + np.linalg.norm(grad))
 
 
+@pytest.mark.parametrize("name", ["euclidean", "bernoulli"])
+def test_curvature_is_the_second_derivative_in_y(rng, name):
+    # one column per row, so each row divergence is one entry's D_F(x, y)
+    fam = family(name)
+    x = rng.uniform(0.05, 0.95, size=(20, 1))
+    y = rng.uniform(0.1, 0.9, size=(20, 1))
+    h = 1e-4
+    fd = (row_divergence(fam, x, y + h) - 2.0 * row_divergence(fam, x, y)
+          + row_divergence(fam, x, y - h)) / (h * h)
+    assert np.allclose(fam.curvature(x, y)[:, 0], fd, rtol=1e-5, atol=1e-6)
+
+
 def test_conjugate_divergence_convex_in_first_argument(rng):
     for name in ("euclidean", "bernoulli"):
         for _ in range(50):

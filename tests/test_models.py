@@ -72,6 +72,13 @@ def test_config_validation():
         ModelConfig(d=2, family="cauchy")
 
 
+def test_config_rejects_a_negative_max_iter():
+    # every solver would return its start point; 0 stays legal
+    with pytest.raises(ValueError, match="max_iter must be nonnegative, got -3"):
+        ModelConfig(d=2, max_iter=-3)
+    assert ModelConfig(d=2, max_iter=0).max_iter == 0
+
+
 def test_config_rejects_restarts_below_one(rng):
     with pytest.raises(ValueError, match="restarts"):
         alternating_hard(rng.normal(size=(6, 2)), ModelConfig(d=2, restarts=0))

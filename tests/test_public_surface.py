@@ -61,7 +61,7 @@ def test_no_unused_module_imports_in_src():
 
 
 # The ROADMAP's ceiling on src: a change that frees lines lowers it.
-SRC_LINE_CEILING = 2551
+SRC_LINE_CEILING = 2531
 
 
 def test_src_stays_below_its_line_ceiling():

@@ -22,6 +22,7 @@ from bregrelax import (
 from bregrelax.divergences import family
 from bregrelax.models import cond_objective
 from bregrelax import geometry, solvers
+from bregrelax.geometry import simplex_project_rows
 from bregrelax.solvers import _admm_rows_pg
 
 from conftest import (
@@ -394,19 +395,17 @@ def test_prox_raises_on_nonfinite():
                       0.5, d=2)
 
 
-def row_steps(fam, X, anchors, mu, lip=None):
+def row_steps(fam, X, anchors, mu):
     """ADMM row step from uniform rows, as ``admm_solve`` starts: (M, defect)."""
     t = X.shape[0]
-    M0 = np.full((t, t), 1.0 / t)
-    eta = None if lip is not None else np.full(t, min(1.0, mu))
-    return _admm_rows_pg(family(fam), X, M0, anchors, mu, lip=lip, eta=eta)
+    return _admm_rows_pg(family(fam), X, np.full((t, t), 1.0 / t), anchors, mu)
 
 
 def test_row_step_zero_loss_is_projection(rng):
     # X = 0 makes every row loss D(0, m X) vanish, leaving the proximal term,
     # which one step of length mu minimizes exactly
     anchors = rng.normal(size=(5, 5))
-    out, defect = row_steps("euclidean", np.zeros((5, 2)), anchors, mu=0.7, lip=0.0)
+    out, defect = row_steps("euclidean", np.zeros((5, 2)), anchors, mu=0.7)
     for i in range(5):
         assert np.allclose(out[i], simplex_project(anchors[i]), atol=1e-8)
     assert np.max(np.abs(defect)) <= 1e-12
@@ -448,12 +447,19 @@ def test_row_step_matches_grid_oracle(rng):
     def grad(i, m):
         return (m @ X - X[i]) @ X.T + (m - anchors[i]) / mu
 
-    assert_shifted_optimal(total, grad, *row_steps("euclidean", X, anchors, mu, lip=lip))
-    assert_shifted_optimal(total, grad, *row_steps("euclidean", X, anchors, mu))
+    out, defect = row_steps("euclidean", X, anchors, mu)
+    assert_shifted_optimal(total, grad, out, defect)
+    # h = 1, so every euclidean step is the plain projected step of length
+    # 1 / (lam_max(X'X) + 1/mu), bit for bit
+    plain = np.full((3, 3), 1.0 / 3.0)
+    for _ in range(solvers.ADMM_ROW_STEPS):
+        plain = simplex_project_rows(plain - (1.0 / (lip + 1.0 / mu))
+                                     * ((plain @ X - X) @ X.T + (plain - anchors) / mu))
+    assert np.array_equal(out, plain)
 
 
 def test_row_step_bernoulli_matches_shifted_grid_oracle(rng):
-    # backtracked steps differ per row, and so does the defect's factor
+    # curvature bounds, and so steps and the defect's factor, differ per row
     fam = family("bernoulli")
     X = rng.uniform(0.1, 0.9, size=(3, 2))
     anchors = rng.normal(size=(3, 3))
@@ -469,6 +475,20 @@ def test_row_step_bernoulli_matches_shifted_grid_oracle(rng):
         return ((y - X[i]) / (y * (1.0 - y))) @ X.T + (m - anchors[i]) / mu
 
     assert_shifted_optimal(total, grad, *row_steps("bernoulli", X, anchors, mu))
+
+
+def test_admm_bernoulli_certifies_criterion_07_grid():
+    # criterion 07's cond-jc grid on planted_bernoulli data: every instance
+    # certifies; a step count, not a timing, about 15% above the 5,138 taken
+    certified = iterations = 0
+    for d, t in ((2, 16), (3, 18)):
+        for seed in range(10):
+            X, _ = planted_bernoulli(t, d, np.random.default_rng(100 * d + seed))
+            res = admm_solve(X, d, "bernoulli", tol=1e-5, max_iter=1000)
+            certified += res.converged
+            iterations += res.iterations
+    assert certified == 20
+    assert iterations <= 5900, iterations
 
 
 def test_admm_two_clouds_recovers_partition(rng):
