@@ -77,8 +77,7 @@ def cluster_norm_dual_subgradient(R, d):
     scale = np.linalg.norm(top)
     if scale <= 0.0:
         raise ValueError("zero input: the subgradient direction is undefined")
-    r = min(d - 1, s.size)
-    return (U[:, :r] * (top[:r] / scale)) @ Vt[:r]
+    return (U[:, :top.size] * (top / scale)) @ Vt[:top.size]
 
 
 def cluster_prox(Y, w, d):

@@ -31,9 +31,6 @@ class DomainError(ValueError):
     """Raised when an argument leaves a family's open domain."""
 
     def __init__(self, family, index, value):
-        self.family = family
-        self.index = index
-        self.value = value
         super().__init__(
             f"{family} domain violation at flat index {index}: value {value!r}"
         )

@@ -15,14 +15,13 @@ set of such matrices are used throughout:
                 centering projector H = I - 11'/t.
 
 Projections onto ``rowsum`` reduce, after centering, to projecting the
-eigenvalue vector onto the box-capped budget set: a clipped water level,
-which ``clip_level`` finds here and for the cluster norm and its prox.
+eigenvalues (numpy's ``eigh``) onto the box-capped budget set: a clipped
+water level, which ``clip_level`` finds here and for the cluster norm.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 RELAXATIONS = ("simplex", "rowsum", "centered")
 
@@ -55,15 +54,14 @@ def check_membership(M, d, relaxation="rowsum", tol=1e-8):
     measured = {}
     measured["symmetry"] = float(np.max(np.abs(M - M.T))) if t else 0.0
     S = 0.5 * (M + M.T)
-    eigs = scipy.linalg.eigvalsh(S)
+    eigs = np.linalg.eigvalsh(S)
     measured["eig_lower"] = float(max(0.0, -eigs.min()))
     measured["eig_upper"] = float(max(0.0, eigs.max() - 1.0))
     budget = d - 1 if relaxation == "centered" else d
     measured["trace"] = float(max(0.0, np.trace(S) - budget))
-    if relaxation == "rowsum":
+    if relaxation != "centered":
         measured["row_sums"] = float(np.max(np.abs(M.sum(axis=1) - 1.0)))
     if relaxation == "simplex":
-        measured["row_sums"] = float(np.max(np.abs(M.sum(axis=1) - 1.0)))
         measured["nonnegativity"] = float(max(0.0, -M.min()))
     worst = max(measured.values()) if measured else 0.0
     violations = {k: v for k, v in measured.items() if v > tol}
@@ -129,8 +127,8 @@ def project_rowsum(A, d):
     The input is symmetrized first (solver intermediates accumulate
     asymmetry of order machine epsilon).  After subtracting the uniform
     block 11'/t and double-centering, the problem reduces to projecting the
-    eigenvalues onto the box-capped budget set with budget d - 1; the
-    eigenvalue attached to the constant eigenvector is 0 and stays 0.
+    eigenvalues (numpy's full ``eigh``) onto the box-capped budget set with
+    budget d - 1; the one of the constant eigenvector is 0 and stays 0.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -138,11 +136,10 @@ def project_rowsum(A, d):
     t = A.shape[0]
     A = 0.5 * (A + A.T)
     B = A - 1.0 / t
-    ones = np.ones(t)
-    HB = B - np.outer(ones, B.mean(axis=0))
-    HBH = HB - np.outer(HB.mean(axis=1), ones)
+    HB = B - B.mean(axis=0)
+    HBH = HB - HB.mean(axis=1)[:, None]
     HBH = 0.5 * (HBH + HBH.T)
-    eigvals, eigvecs = scipy.linalg.eigh(HBH)
+    eigvals, eigvecs = np.linalg.eigh(HBH)
     mu = capped_box_simplex_project(eigvals, d - 1)
     T = (eigvecs * mu) @ eigvecs.T
     return T + 1.0 / t

@@ -6,13 +6,13 @@ rows (``spectral_round``); the eigenpairs are a penalized solution's own
 (from T's thin SVD), or ``eigh``'s of ``cond-jc``'s M.  Hard clusterings are
 polished with alternating minimization (``hard_reopt``, or
 ``joint_hard_reopt`` with cluster log-priors) and scored against ground
-truth with a maximum-weight matching between clusters and classes
-(``soft_accuracy``; ``matched_accuracy`` is soft accuracy on one-hot
-labels).  k-means, both polishers and the ``alt-hard`` baseline are one
-Lloyd loop (``lloyd``): Lloyd's alternation is the same algorithm under
-every Bregman divergence (Banerjee et al., JMLR 2005), and k-means is its
-squared-euclidean case.  The loop advances a stack of starts together,
-one cost evaluation per sweep; a single start is a stack of one.
+truth with a maximum-weight matching of clusters to classes, solved by
+the Hungarian method (``soft_accuracy``; ``matched_accuracy`` is soft
+accuracy on one-hot labels).  k-means, both polishers and ``alt-hard``
+are one Lloyd loop (``lloyd``): Lloyd's alternation is the same algorithm
+under every Bregman divergence (Banerjee et al., JMLR 2005), and k-means
+is its squared-euclidean case.  The loop advances a stack of starts
+together, one cost evaluation per sweep; a single start is a stack of one.
 """
 
 import warnings
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .divergences import family, pairwise_cost, pairwise_divergence
 
@@ -277,5 +276,36 @@ def soft_accuracy(posteriors, truth):
     if P.min() < 0.0:
         raise ValueError("posterior entries must be nonnegative")
     table = P.T @ np.eye(truth.max() + 1)[truth]
-    rows, cols = scipy.optimize.linear_sum_assignment(table, maximize=True)
+    rows, cols = _max_matching(table)
     return float(table[rows, cols].sum() / truth.size)
+
+
+def _max_matching(table):
+    """Rows and columns of a maximum-weight matching of a k x c table, rows ascending.
+
+    The Hungarian method with potentials and one shortest augmenting path
+    per row of the shorter side (Kuhn 1955; Jonker & Volgenant 1987), in
+    Python floats: clusters x classes tables are too small for numpy rows.
+    """
+    flip = table.shape[0] > table.shape[1]
+    cost = (-(table.T if flip else table)).tolist()
+    n, m = len(cost), len(cost[0])
+    u, v, owner = [0.0] * n, [0.0] * (m + 1), [-1] * (m + 1)  # column m roots each path
+    for i in range(n):
+        owner[m], j0, done, todo = i, m, [], list(range(m))
+        dist, way = [float("inf")] * m + [0.0], [m] * m
+        while owner[j0] >= 0:  # Dijkstra over reduced costs from row i to a free column
+            done.append(j0)
+            row, ui, low = cost[owner[j0]], u[owner[j0]], dist[j0]
+            for j in todo:
+                if low + row[j] - ui - v[j] < dist[j]:
+                    dist[j], way[j] = low + row[j] - ui - v[j], j0
+            j0 = min(todo, key=dist.__getitem__)
+            todo.remove(j0)
+        for j in done:  # keeps reduced costs nonnegative, and zero along the path
+            u[owner[j]] += dist[j0] - dist[j]
+            v[j] -= dist[j0] - dist[j]
+        while j0 != m:  # augment along the path back to the root
+            owner[j0], j0 = owner[way[j0]], way[j0]
+    pairs = sorted((j, owner[j]) if flip else (owner[j], j) for j in range(m) if owner[j] >= 0)
+    return tuple(np.array(side) for side in zip(*pairs))

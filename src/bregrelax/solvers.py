@@ -2,28 +2,20 @@
 
 Four engines, kept independent of any particular clustering model:
 
-* ``smooth_minimize`` -- unconstrained smooth minimization (memory-limited
-  quasi-Newton with line search), used for inner subproblems.
+* ``smooth_minimize`` -- unconstrained smooth minimization by L-BFGS with
+  Armijo backtracking, in numpy; ``disc``'s bias solves use it.
 * ``prox_minimize`` -- accelerated proximal gradient for objectives of the
   form L(T) + (w/2) * norm(T)^2 where the norm is the cluster norm, with
   that penalty's exact prox (``cluster_prox``); it stops on the duality
   gap alone.  ``cond`` and ``joint`` use it.
 * ``gcg_minimize`` -- generalized conditional gradient for the same
-  objectives, used by ``disc``.  The atom oracle is a dual-norm
-  subgradient; a scalar tracker s majorizes the norm of the iterate so the
-  norm itself is only evaluated once, at the final iterate.
-  ``gcg_line_search`` picks the next iterate a*T + b*S by projected Newton
-  on (a, b), from the value, gradient and 2x2 curvature of the segment or
-  of a majorizer touching it at the iterate.
+  objectives, used by ``disc``, with a projected-Newton line search over
+  the two weights of each update (``gcg_line_search``).
 * ``admm_solve`` -- alternating direction method for minimizing the primal
   divergence D_F(X, M X) over the ``simplex`` relaxation set, splitting the
-  row-simplex constraints (a few projected-gradient steps per iteration,
-  each scaled to its row's curvature, whose distance from an exact row
-  solve enters the stop test) from the spectral ones (the closed-form
-  ``rowsum`` projection), with over-relaxed updates and a penalty balanced
-  on normalized residuals (Boyd et al., 2011, sections 3.4.1, 3.4.3 and
-  3.4.4), Anderson-extrapolated at a fixed penalty with a fallback to the
-  plain step; the stop test is unchanged.
+  row-simplex constraints (inexact row steps, ``_admm_rows_pg``) from the
+  spectral ones (the closed-form ``rowsum`` projection), Anderson-
+  extrapolated at a fixed penalty.
 """
 
 import warnings
@@ -31,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.optimize
 
 from .clusternorm import (cluster_norm, cluster_norm_dual, cluster_norm_dual_subgradient,
                           cluster_prox)
@@ -75,54 +66,43 @@ class SmoothResult:
 
 
 def smooth_minimize(problem, tol=1e-8, max_iter=500):
-    """Minimize a SmoothProblem to gradient norm < tol * (1 + |objective|).
+    """Minimize a SmoothProblem, from ``x0``, to gradient norm < tol * (1 + |objective|).
 
-    Backed by limited-memory BFGS with line search; restarted from its own
-    endpoint if the library stopping rule fires before the gradient target
-    is reached.  Exhausting ``max_iter`` is reported via the ``converged``
-    flag and a warning carrying the final gradient norm.
+    L-BFGS (Liu & Nocedal, 1989) over the last 20 pairs, skipping one with
+    s'y <= 0, with Armijo backtracking that also takes a step whose value
+    ties to roundoff while the gradient norm falls.  Exhausting ``max_iter``,
+    or 50 halvings without such a step, is reported via ``converged`` and a
+    warning carrying the final gradient norm.
     """
-    shape = tuple(problem.shape)
-    x = problem.x0 if problem.x0 is not None else np.zeros(shape)
-    x = np.asarray(x, dtype=float).ravel().copy()
-
-    def fun(flat):
-        v, g = problem.value_and_grad(flat.reshape(shape))
-        return v, np.asarray(g, dtype=float).ravel()
-
-    total_it = 0
-    f, g = fun(x)
-    gnorm = float(np.linalg.norm(g))
-    while total_it < max_iter:
-        if gnorm < tol * (1.0 + abs(f)):
-            return SmoothResult(x.reshape(shape), float(f), gnorm, total_it, True)
-        res = scipy.optimize.minimize(
-            fun,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": max_iter - total_it,
-                "ftol": 1e-17,
-                "gtol": 1e-14,
-                "maxcor": 20,
-            },
-        )
-        x = res.x
-        f = float(res.fun)
-        g = np.asarray(res.jac, dtype=float)
-        gnorm = float(np.linalg.norm(g))
-        total_it += max(int(res.nit), 1)
-        if res.nit == 0:
-            break  # line search can make no further progress at this precision
+    x = np.array(problem.x0 if problem.x0 is not None else np.zeros(problem.shape), dtype=float)
+    x = x.reshape(problem.shape)
+    (f, g), pairs, it = problem.value_and_grad(x), [], 0
+    while np.linalg.norm(g) >= tol * (1.0 + abs(f)) and it < max_iter:
+        p, alphas = -g, []  # the two-loop recursion's p = -H g
+        for s, y in reversed(pairs):
+            alphas.append(np.vdot(s, p) / np.vdot(s, y))
+            p = p - alphas[-1] * y
+        if pairs:
+            s, y = pairs[-1]
+            p *= np.vdot(s, y) / np.vdot(y, y)
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            p = p + (a - np.vdot(y, p) / np.vdot(s, y)) * s
+        for step in 0.5 ** np.arange(50):
+            f1, g1 = problem.value_and_grad(x + step * p)
+            if f1 <= f + 1e-4 * step * np.vdot(g, p) or (
+                    f1 <= f + 1e-15 * (1.0 + abs(f)) and np.linalg.norm(g1) < np.linalg.norm(g)):
+                break
+        else:
+            break  # no step descends at this precision
+        if step * np.vdot(p, g1 - g) > 0.0:
+            pairs = pairs[-19:] + [(step * p, g1 - g)]
+        x, f, g, it = x + step * p, f1, g1, it + 1
+    f, gnorm = float(f), float(np.linalg.norm(g))
     converged = gnorm < tol * (1.0 + abs(f))
     if not converged:
-        warnings.warn(
-            f"smooth_minimize stopped after {total_it} iterations with "
-            f"gradient norm {gnorm:.3e}",
-            RuntimeWarning,
-        )
-    return SmoothResult(x.reshape(shape), float(f), gnorm, total_it, converged)
+        warnings.warn(f"smooth_minimize stopped after {it} iterations with gradient norm "
+                      f"{gnorm:.3e}", RuntimeWarning)
+    return SmoothResult(x, f, gnorm, it, converged)
 
 
 def _quadrant_newton(p, g, H):
@@ -425,16 +405,13 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
     ``rowsum`` set and (3) U <- U + Z - R, where U = mu * multiplier and
     R = a M + (1 - a) Z is over-relaxed by a = ``ADMM_RELAX`` (Eckstein &
     Bertsekas, 1992; Boyd et al., 2011, section 3.4.3).  Step (1) is
-    ``ADMM_ROW_STEPS`` projected-gradient steps, each row's length set
-    afresh from a bound on its curvature, whose M exactly minimizes the
-    row objectives shifted by a linear term, the row defect
-    (``_admm_rows_pg``).  The solve stops when primal = ||M - Z||, dual =
-    ||Z - Z_prev|| / mu and defect = ||row defect|| (Frobenius) all drop
-    below tol * sqrt(t), so a certified M is an exact row step up to the
-    splitting's tolerance.  mu starts at ``ADMM_MU0`` and is halved or
-    doubled, within [1e-6, 1e6], when the primal or dual residual,
-    normalized by max(||M||, ||Z||) or ||multiplier||, exceeds the other
-    tenfold (Boyd et al., 2011, section 3.4.1).
+    ``_admm_rows_pg``'s inexact row step.  The solve stops when primal =
+    ||M - Z||, dual = ||Z - Z_prev|| / mu and defect = ||row defect||
+    (Frobenius) all drop below tol * sqrt(t), so a certified M is an exact
+    row step up to the splitting's tolerance.  mu starts at ``ADMM_MU0``
+    and is halved or doubled, within [1e-6, 1e6], when the primal or dual
+    residual, normalized by max(||M||, ||Z||) or ||multiplier||, exceeds
+    the other tenfold (Boyd et al., 2011, section 3.4.1).
 
     Steps (1)-(3) are one map F of x = (M, Z, U).  At a fixed mu the next
     x is the Anderson extrapolation of the last ``ADMM_MEMORY`` + 1 steps

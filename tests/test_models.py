@@ -548,6 +548,26 @@ def test_disc_line_search_solves_no_bias_per_probe(workloads, monkeypatch):
     assert len(solves) <= 2 * sol.iterations + 1
 
 
+def test_disc_bias_solves_converge_on_a_breast_shaped_cell(workloads, monkeypatch):
+    # 683 x 9 sigmoid data shaped like the breast cancer set, at d = 2:
+    # BIAS_TOL sits at the roundoff floor of the bias loss, so the bias
+    # solves' line search must still descend there
+    ds = workloads.breast_like(workloads.stream_rng(0, 3, 0), 683, 9)
+    X = bench.preprocess(ds, "sigmoid").X
+    results = []
+    smooth_minimize = models.smooth_minimize
+
+    def recorded(*args, **kwargs):
+        results.append(smooth_minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(models, "smooth_minimize", recorded)
+    config = ModelConfig(d=2, max_iter=2)
+    sol = solve_disc(X, config)  # a stalled bias solve raises SolverDivergence
+    assert sol.auxiliaries["gap"] < config.tol
+    assert results and all(res.converged for res in results)
+
+
 # -------------------------------------------------------------- baselines
 
 

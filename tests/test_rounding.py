@@ -24,7 +24,7 @@ from bregrelax import (
     spectral_embedding,
     spectral_round,
 )
-from bregrelax.rounding import cluster_means, lloyd
+from bregrelax.rounding import _max_matching, cluster_means, lloyd
 
 from conftest import (
     equivalence_from_assignment,
@@ -178,6 +178,42 @@ def test_accuracies_reject_empty_inputs():
         soft_accuracy(np.zeros((0, 2)), [])
     with pytest.raises(ValueError, match="no points"):
         matched_accuracy([], [])
+
+
+# --------------------------------------------------------------- the matching
+
+
+def _best_matching_value(table):
+    # every injective map of the shorter side into the longer, its pairs
+    # summed in ascending row order, as the matching's are
+    k, c = table.shape
+    best = -np.inf
+    for chosen in itertools.permutations(range(max(k, c)), min(k, c)):
+        rows, cols = (np.arange(k), np.array(chosen)) if k <= c else (np.array(chosen), np.arange(c))
+        order = np.argsort(rows)
+        best = max(best, table[rows[order], cols[order]].sum())
+    return best
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["continuous", "integer-ties"])
+def test_max_matching_attains_the_best_permutation(rng, integer):
+    shapes = [(1, 1)] + [tuple(map(int, s)) for s in rng.integers(1, 7, size=(60, 2))]
+    assert any(k < c for k, c in shapes) and any(k > c for k, c in shapes)
+    for k, c in shapes:
+        table = rng.integers(0, 4, size=(k, c)).astype(float) if integer else rng.random((k, c))
+        rows, cols = _max_matching(table)
+        assert rows.tolist() == sorted(set(rows.tolist()))  # distinct and ascending
+        assert len(rows) == len(set(cols.tolist())) == min(k, c)
+        assert table[rows, cols].sum() == _best_matching_value(table)
+
+
+def test_max_matching_pairs_are_scipys(rng):
+    optimize = pytest.importorskip("scipy.optimize")
+    for k, c in rng.integers(1, 7, size=(100, 2)):
+        table = rng.random((k, c))
+        rows, cols = _max_matching(table)
+        expected_rows, expected_cols = optimize.linear_sum_assignment(table, maximize=True)
+        assert rows.tolist() == expected_rows.tolist() and cols.tolist() == expected_cols.tolist()
 
 
 # -------------------------------------------------------------------- k-means
