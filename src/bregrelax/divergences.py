@@ -12,13 +12,9 @@ satisfy D_F(x, y) = D_F*(f(y), f(x)).  Two families ship: ``euclidean``
 (1-x) log(1-x), transfer = logit, conjugate = softplus).  The primal
 divergence of paired rows (``row_divergence``) and the summed dual one
 (``conjugate_divergence``) share one entrywise kernel; ``pairwise_cost``
-expands it for every pair of rows.  It sums the data's potential once,
-so hot loops (Lloyd, EM) build it once per dataset and call it with each
-sweep's stack of center sets; ``pairwise_divergence`` is its one-shot
-form.  No other module evaluates a divergence or knows a family's
-domain.  ``softmax_rows`` is the package's one normalization in
-log space: EM's E-step, ``disc``'s self-classification loss, ``joint``'s
-prior block and the scorer's posteriors all call it.
+expands it for every pair of rows, cluster-major (see there).  No other
+module evaluates a divergence or knows a family's domain.
+``softmax_rows`` is the package's one normalization in log space.
 """
 
 import numpy as np
@@ -163,56 +159,60 @@ def conjugate_divergence(fam, A, B):
 
 
 def pairwise_cost(fam, X):
-    """The cost C -> matrix of D_F(X[i], C[j]) over data rows i, center rows j.
+    """The cost C -> matrix of D_F(X[i], C[j]) over center rows j, data rows i.
 
-    Validates X and sums its potential once; each call validates C and
-    does only the work that depends on the centers.  For X of shape (t, n)
-    the cost of C (k, n) is (t, k), and of a stack C (R, k, n) is
-    (R, t, k).  One stacked matmul makes each set's cross term with the
-    BLAS call that set makes alone, so each matrix is its own bit for bit;
-    one GEMM over all sets can round differently (BLAS picks its kernel
-    by size).
+    Validates X and sums its potential once, so Lloyd and EM build it once
+    per dataset; each call validates C and does only the work that depends
+    on the centers.  For X (t, n) the cost of C (k, n) is (k, t), of a stack
+    C (R, k, n) the C-ordered (R, k, t): cluster-major, so each sweep's
+    elementwise work and reductions run inner loops over the t points, not
+    the k = 2 or 3 clusters.  BLAS operands keep their layout: one stacked
+    matmul makes each set's (t, k) cross term with the call that set makes
+    alone, so each matrix is its own bit for bit; BLAS picks its kernel by
+    size and layout, and one GEMM over all sets rounds differently.
     """
     fam = family(fam)
     X = fam.check_domain(X)
     if X.ndim != 2:
         raise ValueError(f"data must be a 2-d array, got shape {X.shape}")
-    fx = np.sum(fam.potential(X), axis=1)[:, None]  # (t, 1)
+    fx = np.sum(fam.potential(X), axis=1)  # (t,)
 
     def cost(C):
         C = fam.check_domain(C)
         if C.ndim not in (2, 3) or C.shape[-1] != X.shape[1]:
             raise ValueError(f"incompatible shapes: {X.shape} vs {C.shape}")
-        fc = np.sum(fam.potential(C), axis=-1)[..., None, :]  # (R, 1, k)
+        fc = np.sum(fam.potential(C), axis=-1)[..., None]  # (R, k, 1)
         tc = fam.transfer(C)  # (R, k, n)
-        # D[r, i, j] = fx[i] - fc[r, j] - <X[i] - C[r, j], f(C[r, j])>
-        cross = np.matmul(X, np.swapaxes(tc, -1, -2))  # (R, t, k)
-        own = np.sum(C * tc, axis=-1)[..., None, :]  # (R, 1, k)
-        return np.maximum(fx - fc - cross + own, 0.0)
+        D = fx - fc  # D[r, j, i] = fx[i] - fc[r, j] - <X[i] - C[r, j], f(C[r, j])>
+        D -= np.swapaxes(np.matmul(X, np.swapaxes(tc, -1, -2)), -1, -2)  # (t, k) products
+        D += np.sum(C * tc, axis=-1)[..., None]
+        return np.maximum(D, 0.0, out=D)
 
     return cost
 
 
 def pairwise_divergence(fam, X, C):
-    """Matrix of D_F(X[i], C[j]): ``pairwise_cost(fam, X)(C)``.
+    """Matrix of D_F(X[i], C[j]): ``pairwise_cost(fam, X)(C)`` as a C-ordered (t, k).
 
     The cost of ``cond_objective`` and of the scorer's posteriors.
     """
-    return pairwise_cost(fam, X)(C)
+    return np.ascontiguousarray(np.swapaxes(pairwise_cost(fam, X)(C), -1, -2))
 
 
-def softmax_rows(S):
-    """Row log-sum-exps and row softmax of a real 2-d array: (lse, P).
+def softmax_rows(S, axis=-1):
+    """Log-sum-exps and softmax of a real array along ``axis``: (lse, P).
 
-    With a the row max, e = exp(S - a) and s its row sum, lse = log(s) + a
-    and P = e / s (scipy's ``softmax``), the gradient of lse.  The max
-    reduces a column-major copy, fast on short rows; a row whose max is
-    not finite is not shifted, so its lse is scipy's -inf, inf or nan.
+    With a the max, e = exp(S - a) and s its sum, lse = log(s) + a and P =
+    e / s (scipy's ``softmax``), the gradient of lse.  Summed over a middle
+    axis, as EM's (R, k, t), s adds the k slices in order: a row's bits for
+    k < 8, where numpy sums rows sequentially, but not above, where it sums
+    them pairwise.  A max that is not finite does not shift, so its lse is
+    scipy's -inf, inf or nan.
     """
     S = np.asarray(S, dtype=float)
-    a = np.asfortranarray(S).max(axis=1)
+    a = S.max(axis=axis, keepdims=True)
     a[~np.isfinite(a)] = 0.0
-    e = np.exp(S - a[:, None])
-    s = np.sum(e, axis=1)
+    e = S - a
+    s = np.sum(np.exp(e, out=e), axis=axis, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(s) + a, e / s[:, None]
+        return np.squeeze(np.log(s) + a, axis=axis), np.divide(e, s, out=e)

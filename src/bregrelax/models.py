@@ -1,11 +1,10 @@
 """Clustering models: convex relaxations and classical baselines.
 
-Four relaxations share a common recipe: minimize a smooth conjugate-space
-loss plus a squared cluster-norm penalty (or, for ``cond-jc``, the primal
-divergence directly over the relaxation set), then recover a relaxed
-equivalence matrix for rounding.  For the three penalized models a loss
-builder (``_cond_problem``, ``_disc_problem``, ``_joint_problem``) returns
-a SmoothProblem and ``_penalized_solution`` solves and packages it.
+Four relaxations minimize a smooth conjugate-space loss plus a squared
+cluster-norm penalty (``cond-jc``: the primal divergence over the
+relaxation set) and recover a relaxed equivalence matrix for rounding.  A
+penalized model's loss builder (``_cond_problem``, ``_disc_problem``,
+``_joint_problem``) returns a SmoothProblem for ``_penalized_solution``.
 
 * ``cond-jc``  -- jointly convex conditional model, solved by ADMM.
 * ``cond``     -- conditional model in conjugate coordinates, solved by
@@ -18,10 +17,10 @@ a SmoothProblem and ``_penalized_solution`` solves and packages it.
 * ``joint``    -- joint model with a relaxed log-prior block stacked next
                   to the conjugate responsibilities, by ``prox_minimize``.
 
-Baselines: ``alt-hard`` (alternating hard clustering with restarts, all
-restarts one ``rounding.lloyd`` stack) and ``soft-em`` (mixture EM, all
-restarts one stacked EM).  ``cond_objective`` scores one labeling or a
-stack of them.
+Baselines: ``alt-hard`` (alternating hard clustering, ``rounding.lloyd``)
+and ``soft-em`` (mixture EM) each run all their restarts as one stack of
+cluster-major (R, d, t) arrays.  ``cond_objective`` scores one labeling or
+a stack of them.
 """
 
 from dataclasses import dataclass, field
@@ -30,22 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .clusternorm import recover_equivalence
-from .divergences import (
-    conjugate_divergence,
-    family,
-    pairwise_cost,
-    pairwise_divergence,
-    softmax_rows,
-)
+from .divergences import (conjugate_divergence, family, pairwise_cost, pairwise_divergence,
+                          softmax_rows)
 from .rounding import cluster_means, lloyd
-from .solvers import (
-    SmoothProblem,
-    SolverDivergence,
-    admm_solve,
-    gcg_minimize,
-    prox_minimize,
-    smooth_minimize,
-)
+from .solvers import (SmoothProblem, SolverDivergence, admm_solve, gcg_minimize, prox_minimize,
+                      smooth_minimize)
 
 MODELS = ("cond-jc", "cond", "disc", "joint", "alt-hard", "soft-em")
 RELAXATION_MODELS = ("cond-jc", "cond", "disc", "joint")
@@ -354,11 +342,15 @@ def _mixture_em(X, d, fam, rngs, max_iter=300, tol=1e-9):
     """EM from d random data rows per generator, the runs as one stack.
 
     Each sweep evaluates every live run's cost in one ``pairwise_cost``
-    call and its E-step in one ``softmax_rows`` call; a run leaves the
-    stack at its own tolerance stop or at ``max_iter``, before its M-step,
-    so its posteriors belong to its weights and centers.  Returns one
-    SoftEmResult per run.
+    call and its E-step in one ``softmax_rows`` call over the d axis of
+    the cluster-major (R, d, t) scores; a run leaves the stack at its own
+    tolerance stop or at ``max_iter`` (at least 1), before its M-step, so
+    its posteriors belong to its weights and centers.  The M-step's BLAS
+    call and the mass (a cumsum over t) add in a lone row-major run's
+    order; its E-step does too for d < 8 (see ``softmax_rows``).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     fam = family(fam)
     X = fam.check_domain(X)
     cost = pairwise_cost(fam, X)
@@ -370,24 +362,23 @@ def _mixture_em(X, d, fam, rngs, max_iter=300, tol=1e-9):
     traces = [[] for _ in live]
     results = [None] * len(traces)
     for iteration in range(1, max_iter + 1):
-        lse, P = softmax_rows((logq[live, None, :] - cost(centers[live])).reshape(-1, d))
-        P = P.reshape(live.size, t, d)
-        ll = lse.reshape(live.size, t).sum(axis=1)
+        lse, P = softmax_rows(logq[live, :, None] - cost(centers[live]), axis=1)  # P: (R, d, t)
+        ll = lse.sum(axis=1)
         for r, value in zip(live, ll.tolist()):
             traces[r].append(value)
         stop = (ll - prev[live] < tol * (1.0 + np.abs(ll))) & (iteration > 1)
         stop |= iteration == max_iter
-        go, kept = live[~stop], P[~stop]
+        go, rows = live[~stop], np.ascontiguousarray(np.swapaxes(P, 1, 2))  # (R, t, d)
         prev[go] = ll[~stop]
-        mass = kept.sum(axis=1)
+        mass = np.cumsum(P, axis=2)[~stop, :, -1]
         logq[go] = np.log(np.maximum(mass, 1e-300)) - np.log(t)
         nz = mass > 1e-12
         moved = centers[go]
-        moved[nz] = np.matmul(np.swapaxes(kept, 1, 2), X)[nz] / mass[nz][:, None]
+        moved[nz] = np.matmul(np.swapaxes(rows, 1, 2), X)[~stop][nz] / mass[nz][:, None]
         centers[go] = moved
         for i in np.flatnonzero(stop):
             r = live[i]
-            results[r] = SoftEmResult(P[i], np.exp(logq[r]), centers[r], traces[r][-1],
+            results[r] = SoftEmResult(rows[i], np.exp(logq[r]), centers[r], traces[r][-1],
                                       iteration, traces[r])
         live = live[~stop]
         if not live.size:

@@ -2,17 +2,14 @@
 
 A relaxed equivalence matrix is turned into a hard clustering by embedding
 points with the top eigenvectors and running k-means on the normalized
-rows (``spectral_round``); the eigenpairs are a penalized solution's own
-(from T's thin SVD), or ``eigh``'s of ``cond-jc``'s M.  Hard clusterings are
-polished with alternating minimization (``hard_reopt``, or
-``joint_hard_reopt`` with cluster log-priors) and scored against ground
-truth with a maximum-weight matching of clusters to classes, solved by
-the Hungarian method (``soft_accuracy``; ``matched_accuracy`` is soft
-accuracy on one-hot labels).  k-means, both polishers and ``alt-hard``
-are one Lloyd loop (``lloyd``): Lloyd's alternation is the same algorithm
-under every Bregman divergence (Banerjee et al., JMLR 2005), and k-means
-is its squared-euclidean case.  The loop advances a stack of starts
-together, one cost evaluation per sweep; a single start is a stack of one.
+rows (``spectral_round``).  Hard clusterings are polished with alternating
+minimization (``hard_reopt``, or ``joint_hard_reopt`` with cluster
+log-priors) and scored against ground truth under the best matching of
+clusters to classes (``soft_accuracy``, ``matched_accuracy``).  k-means,
+both polishers and ``alt-hard`` are one Lloyd loop (``lloyd``), the same
+algorithm under every Bregman divergence (Banerjee et al., JMLR 2005).  It
+advances a stack of starts together, one cluster-major (R, d, t) cost per
+sweep; a single start is a stack of one.
 """
 
 import warnings
@@ -45,14 +42,21 @@ class ClusteringResult:
     trace: list = field(default_factory=list)
 
 
+def _counts(labels, d):
+    """Integer cluster sizes (R, d) of a labeling (t,) or a stack (R, t), by one bincount."""
+    stack = labels.reshape(-1, labels.shape[-1])
+    offsets = d * np.arange(len(stack))[:, None]
+    return np.bincount((stack + offsets).ravel(), minlength=offsets.size * d).reshape(-1, d)
+
+
 def cluster_means(X, labels, d):
     """Per-cluster means and counts of labels (t,) or of a stack (R, t).
 
     Empty clusters get zero rows.  A stack's means are one stacked matmul,
     (R, d, t) @ (t, n): each labeling's means bit for bit.
     """
-    onehot = np.eye(d)[labels]  # (..., t, d)
-    counts = onehot.sum(axis=-2)
+    counts = _counts(labels, d).reshape(labels.shape[:-1] + (d,)).astype(float)
+    onehot = np.eye(d).take(labels, axis=0)  # (..., t, d)
     safe = np.where(counts > 0, counts, 1.0)
     centers = np.matmul(np.swapaxes(onehot, -1, -2), X) / safe[..., None]
     return centers, counts
@@ -67,9 +71,7 @@ def _fill_empty(X, labels, centers, fam):
     rows may sit outside the domain).
     """
     (t, n), d = X.shape, centers.shape[-2]
-    stack, centers = labels.reshape(-1, t), centers.reshape(-1, d, n)
-    offsets = d * np.arange(stack.shape[0])[:, None]
-    counts = np.bincount((stack + offsets).ravel(), minlength=offsets.size * d).reshape(-1, d)
+    stack, centers, counts = labels.reshape(-1, t), centers.reshape(-1, d, n), _counts(labels, d)
     if counts.min() > 0:
         return labels
     stack = stack.copy()
@@ -92,11 +94,11 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
     w = 0), evaluates all their costs in one ``pairwise_cost`` call,
     records each objective sum_i [D_F(x_i, mu_{y_i}) - w_{y_i}] (a prior
     objective's t lse(w) is 0, as exp(w) sums to 1), then moves each point
-    to argmin_j [D_F(x_i, mu_j) - w_j].  Without priors a trace never
-    increases.  A cluster left empty takes the point farthest from its
-    own center.  A start leaves the stack at its own fixed point, or after
-    ``max_iter`` sweeps; its centers, weights and objective belong to its
-    returned labels.  ``d`` is at least the largest label plus one.
+    to the first argmin_j [D_F(x_i, mu_j) - w_j] (``_fill_empty`` refills
+    a cluster left empty).  Without priors a trace never increases.  A
+    start leaves the stack at its own fixed point, or after ``max_iter``
+    sweeps; its centers, weights and objective belong to its returned
+    labels.  ``d`` is at least the largest label plus one.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -117,17 +119,21 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
     for iteration in range(1, max_iter + 1):
         current = labels[live]
         centers, counts = cluster_means(X, current, d)
-        cost = cost_of(centers)
+        cost = cost_of(centers)  # (R, d, t)
         weights = None
         if log_prior:
             weights = np.log(counts / t)
-            cost = cost - weights[:, None, :]
-        objective = cost[np.arange(live.size)[:, None], np.arange(t), current].sum(axis=1)
+            cost = cost - weights[:, :, None]
+        objective = cost[np.arange(live.size)[:, None], current, np.arange(t)].sum(axis=1)
         for r, value in zip(live, objective.tolist()):
             traces[r].append(value)
         moved = current
-        if iteration < max_iter:
-            moved = _fill_empty(X, cost.argmin(axis=2), centers, fam)
+        if iteration < max_iter:  # argmin over d, a cluster at a time: first index on ties
+            moved, best = np.zeros_like(current), cost[:, 0]
+            for j in range(1, d):
+                moved[cost[:, j] < best] = j
+                best = np.minimum(best, cost[:, j])
+            moved = _fill_empty(X, moved, centers, fam)
         done = np.all(moved == current, axis=1)
         for i in np.flatnonzero(done):
             r = live[i]
@@ -238,8 +244,8 @@ def spectral_round(M, d, restarts=10, rng=None, embedding=None):
 
 def matched_accuracy(pred, truth):
     """Fraction of points whose cluster maps to their class under the best
-    one-to-one matching (rectangular case handled by leaving extras
-    unmatched).  No points or negative labels raise ValueError.
+    one-to-one matching, extras unmatched: ``soft_accuracy`` of the one-hot
+    labels, by ``_counts``.  No points or negative labels raise ValueError.
     """
     pred = np.asarray(pred, dtype=int).ravel()
     truth = np.asarray(truth, dtype=int).ravel()
@@ -247,9 +253,12 @@ def matched_accuracy(pred, truth):
         raise ValueError("prediction and truth must have equal length")
     if pred.size == 0:
         raise ValueError("no points to score")
-    if pred.min() < 0:
-        raise ValueError("cluster labels must be nonnegative")
-    return soft_accuracy(np.eye(pred.max() + 1)[pred], truth)
+    if min(pred.min(), truth.min()) < 0:
+        raise ValueError("cluster and class labels must be nonnegative")
+    k, c = pred.max() + 1, truth.max() + 1  # the table counts the (cluster, class) pairs
+    table = _counts(pred * c + truth, k * c).reshape(k, c).astype(float)
+    rows, cols = _max_matching(table)
+    return float(table[rows, cols].sum() / truth.size)
 
 
 def soft_accuracy(posteriors, truth):
@@ -270,8 +279,7 @@ def soft_accuracy(posteriors, truth):
         raise ValueError("posterior entries must be finite")
     if truth.min() < 0:
         raise ValueError("class labels must be nonnegative")
-    sums = P.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-8:
+    if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-8:
         raise ValueError("posterior rows must sum to one")
     if P.min() < 0.0:
         raise ValueError("posterior entries must be nonnegative")

@@ -213,12 +213,15 @@ def test_pairwise_divergence_matches_loops(rng):
 
 @pytest.mark.parametrize("name", ["euclidean", "bernoulli"])
 def test_pairwise_cost_is_pairwise_divergence_bit_for_bit(rng, name):
+    # the cost is cluster-major (k, t); pairwise_divergence is its C-ordered transpose
     draw = rng.normal if name == "euclidean" else lambda size: rng.uniform(0.02, 0.98, size)
     X = draw(size=(40, 6))
     cost = pairwise_cost(name, X)
     for k in (1, 3, 5):
         C = draw(size=(k, 6))
-        assert np.array_equal(cost(C), pairwise_divergence(name, X, C))
+        D = pairwise_divergence(name, X, C)
+        assert D.shape == (40, k) and D.flags.c_contiguous
+        assert np.array_equal(cost(C), D.T)
 
 
 def test_pairwise_cost_validates_every_center_matrix(rng):
@@ -244,7 +247,7 @@ def test_stacked_pairwise_cost_is_each_set_alone_bit_for_bit(rng, name, n):
         for R in (1, 3, 30):
             C = draw(size=(R, k, n))
             stacked = cost(C)
-            assert stacked.shape == (R, 60, k)
+            assert stacked.shape == (R, k, 60) and stacked.flags.c_contiguous
             for r in range(R):
                 assert np.array_equal(stacked[r], cost(C[r]))
 

@@ -698,21 +698,65 @@ def test_em_matches_the_per_sweep_oracle_bit_for_bit(fam_name):
     assert len({res.iterations for res in results}) > 1  # runs stop at different sweeps
 
 
-@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
-def test_baseline_restarts_are_lone_oracle_runs_on_the_derived_generators(fam_name):
-    X = np.random.default_rng(7).uniform(0.02, 0.98, size=(50, 3))
-    config = ModelConfig(d=3, restarts=7, seed=5, family=fam_name)
+def _assert_baselines_are_lone_oracle_runs(X, config):
+    t, d, seed, fam_name = len(X), config.d, config.seed, config.family
     for r, res in enumerate(alternating_restarts(X, config)):
-        labels0 = derived_rng(5, 0, r).integers(0, 3, size=50)
-        labels, centers, _, trace, iterations = lloyd_reference(X, labels0, fam_name, 200, 3)
+        labels0 = derived_rng(seed, 0, r).integers(0, d, size=t)
+        labels, centers, _, trace, iterations = lloyd_reference(X, labels0, fam_name, 200, d)
         assert np.array_equal(res.labels, labels) and np.array_equal(res.centers, centers)
         assert res.trace == trace and res.iterations == iterations
     for r, res in enumerate(soft_em_restarts(X, config)):
-        P, weights, centers, trace, iterations = em_reference(X, 3, fam_name,
-                                                              derived_rng(5, 1, r))
+        P, weights, centers, trace, iterations = em_reference(X, d, fam_name,
+                                                              derived_rng(seed, 1, r))
         assert np.array_equal(res.posteriors, P) and np.array_equal(res.weights, weights)
         assert np.array_equal(res.centers, centers)
         assert res.trace == trace and res.iterations == iterations
+
+
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_baseline_restarts_are_lone_oracle_runs_on_the_derived_generators(fam_name):
+    X = np.random.default_rng(7).uniform(0.02, 0.98, size=(50, 3))
+    _assert_baselines_are_lone_oracle_runs(X, ModelConfig(d=3, restarts=7, seed=5,
+                                                          family=fam_name))
+
+
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_cluster_major_baselines_are_lone_oracle_runs_where_blas_kernels_switch(fam_name):
+    # at t = 300 and n = 57 one GEMM over all sets already rounds unlike the
+    # per-set ones, so the stacked (R, d, t) sweeps must hand BLAS the
+    # operands a lone row-major run does: the means' one-hot, the cross
+    # products and EM's (t, d) posteriors, each read transposed
+    X = np.random.default_rng(8).uniform(0.02, 0.98, size=(300, 57))
+    _assert_baselines_are_lone_oracle_runs(X, ModelConfig(d=2, restarts=5, seed=6,
+                                                          family=fam_name))
+
+
+@pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])
+def test_em_with_nine_clusters_stacks_bit_for_bit_and_tracks_the_oracle(fam_name):
+    # from eight clusters on numpy sums a (t, d) row pairwise and the d axis
+    # of (R, d, t) in order, so the E-step normalizer leaves the oracle's
+    # last bits; a stack still gives each run what it gives alone
+    X = np.random.default_rng(12).uniform(0.02, 0.98, size=(80, 4))
+    seeds = range(4)
+    stacked = _mixture_em(X, 9, fam_name, [np.random.default_rng(s) for s in seeds], 40)
+    for seed, res in zip(seeds, stacked):
+        (alone,) = _mixture_em(X, 9, fam_name, [np.random.default_rng(seed)], 40)
+        for field_name in ("posteriors", "weights", "centers"):
+            assert np.array_equal(getattr(res, field_name), getattr(alone, field_name))
+        assert res.trace == alone.trace and res.iterations == alone.iterations
+        P, weights, centers, trace, iterations = em_reference(
+            X, 9, fam_name, np.random.default_rng(seed), 40)
+        assert res.iterations == iterations
+        assert np.allclose(res.trace, trace, rtol=1e-12, atol=0.0)
+        for got, want in ((res.posteriors, P), (res.weights, weights), (res.centers, centers)):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_mixture_em_rejects_max_iter_below_one():
+    X = np.random.default_rng(0).normal(size=(10, 2))
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match=f"max_iter must be at least 1, got {max_iter}"):
+            _mixture_em(X, 2, "euclidean", [np.random.default_rng(0)], max_iter)
 
 
 @pytest.mark.parametrize("fam_name", ["euclidean", "bernoulli"])

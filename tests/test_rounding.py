@@ -122,6 +122,19 @@ def test_soft_accuracy_one_hot_reduces_to_matched(rng):
         assert val == pytest.approx(best, rel=1e-12)
 
 
+def test_matched_accuracy_is_soft_accuracy_of_one_hot_labels_exactly(rng):
+    # the bincount contingency table is the one-hot GEMM's, so both pick the
+    # same matching; empty clusters and classes, and more or fewer clusters
+    # than classes, included
+    for _ in range(200):
+        t, k, c = rng.integers(1, 40), rng.integers(1, 7), rng.integers(1, 7)
+        pred, truth = rng.integers(0, k, size=t), rng.integers(0, c, size=t)
+        assert matched_accuracy(pred, truth) == soft_accuracy(np.eye(pred.max() + 1)[pred], truth)
+    pred = np.array([0, 0, 3, 3, 3, 5])  # clusters 1, 2 and 4 empty
+    truth = np.array([1, 1, 1, 0, 0, 0])
+    assert matched_accuracy(pred, truth) == soft_accuracy(np.eye(6)[pred], truth) == 4.0 / 6.0
+
+
 def test_soft_accuracy_uniform_posterior(rng):
     for d in (2, 3, 5):
         truth = rng.integers(0, d, size=20)
@@ -395,6 +408,19 @@ def test_lloyd_matches_the_per_sweep_oracle_bit_for_bit(fam_name, log_prior):
             assert res.iterations == iterations
     sweeps = [res.iterations for res in results]
     assert len(set(sweeps)) > 2 and sum(sweeps) > 8 * 3
+
+
+@pytest.mark.parametrize("log_prior", [False, True])
+def test_lloyd_breaks_exact_ties_to_the_first_cluster_like_argmin(log_prior):
+    # symmetric integer data whose cluster means coincide: every point ties
+    # between clusters, and the assignment step must pick argmin's first index
+    X = np.array([[-1.0], [1.0], [-2.0], [2.0], [-3.0], [3.0]])
+    starts = [[0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 2, 2], [2, 2, 1, 1, 0, 0], [0, 1, 0, 1, 0, 1]]
+    for res, labels0 in zip(lloyd(X, starts, d=3, log_prior=log_prior), starts):
+        labels, centers, _, trace, iterations = lloyd_reference(X, labels0, "euclidean", 200,
+                                                                3, log_prior)
+        assert np.array_equal(res.labels, labels) and np.array_equal(res.centers, centers)
+        assert res.trace == trace and res.iterations == iterations
 
 
 # ---------------------------------------------------------- spectral rounding
