@@ -129,27 +129,25 @@ def load_dataset(path, label_column=-1, delimiter=None, name=None):
             raise ParseError(f"{path}: label column {label_idx} is outside a {width}-column file")
         label_idx %= width
 
-    feats = []
-    labels = []
-    for ln, cells in rows:
-        if len(cells) != width:
-            raise ParseError(f"{path}: line {ln}: expected {width} fields, got {len(cells)}")
-        row = []
-        for j, cell in enumerate(cells):
-            if j == label_idx:
-                labels.append(cell.strip())
-                continue
-            try:
-                row.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {ln}, column {j + 1}: non-numeric value {cell.strip()!r}"
-                ) from None
-        feats.append(row)
+    try:  # numpy converts each cell with float(); a failure rescans to name the first bad line
+        if any(len(cells) != width for _, cells in rows):
+            raise ValueError("ragged rows")
+        X = np.array([cells[:label_idx] + cells[label_idx + 1:] for _, cells in rows], dtype=float)
+    except ValueError:
+        for ln, cells in rows:
+            where = f"{path}: line {ln}"
+            bad = [j for j, cell in enumerate(cells) if j != label_idx and not numeric(cell)]
+            if len(cells) != width:
+                raise ParseError(f"{where}: expected {width} fields, got {len(cells)}") from None
+            if bad:
+                raise ParseError(f"{where}, column {bad[0] + 1}: non-numeric value "
+                                 f"{cells[bad[0]].strip()!r}") from None
+        raise
+    labels = [cells[label_idx].strip() for _, cells in rows]
     classes, codes = np.unique(labels, return_inverse=True)
     return Dataset(
         name=name or path.stem,
-        X=np.asarray(feats, dtype=float),
+        X=X,
         labels=codes.astype(int),
         classes=tuple(classes.tolist()),
     )
@@ -378,9 +376,7 @@ def run_cell(spec, parsed=None):
         solution = solve_relaxation(spec.model, X, config)
         iterations = solution.iterations
         trace = solution.trace
-        m_sha = hashlib.sha256(
-            np.ascontiguousarray(solution.M, dtype=float).tobytes()
-        ).hexdigest()
+        m_sha = hashlib.sha256(np.ascontiguousarray(solution.M, dtype=float)).hexdigest()
         embedding = spectral_embedding(solution.M, d, solution.eigenpairs)
         assignments = []
         for r in range(spec.restarts):
@@ -436,9 +432,11 @@ def persist_cell(record, spec, out_dir):
     """
     cell = spec.cell_name()
     out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [np.asarray(labels, dtype=int) for labels in record.assignments]
+    names = np.arange(max((row.max(initial=0) for row in rows), default=0) + 1).astype(str)
     with open(out_dir / f"{cell}_assignments.csv", "w", newline="\n") as fh:
-        for labels in record.assignments:
-            fh.write(",".join(map(str, np.asarray(labels, dtype=int).tolist())) + "\n")
+        for row in rows:
+            fh.write(",".join(names[row].tolist()) + "\n")
     if record.trace:
         with open(out_dir / f"{cell}_trace.jsonl", "w", newline="\n") as fh:
             for entry in record.trace:

@@ -161,21 +161,22 @@ def conjugate_divergence(fam, A, B):
 def pairwise_cost(fam, X):
     """The cost C -> matrix of D_F(X[i], C[j]) over center rows j, data rows i.
 
-    Validates X and sums its potential once, so Lloyd and EM build it once
-    per dataset; each call validates C and does only the work that depends
-    on the centers.  For X (t, n) the cost of C (k, n) is (k, t), of a stack
-    C (R, k, n) the C-ordered (R, k, t): cluster-major, so each sweep's
-    elementwise work and reductions run inner loops over the t points, not
-    the k = 2 or 3 clusters.  BLAS operands keep their layout: one stacked
-    matmul makes each set's (t, k) cross term with the call that set makes
-    alone, so each matrix is its own bit for bit; BLAS picks its kernel by
-    size and layout, and one GEMM over all sets rounds differently.
+    Validates X, sums its potential and makes a contiguous X' once, so Lloyd
+    and EM build it once per dataset; each call validates C and does only
+    the work that depends on the centers.  For X (t, n) the cost of C (k, n)
+    is (k, t), of a stack C (R, k, n) the C-ordered (R, k, t): cluster-major,
+    so each sweep's elementwise work and reductions run over the t points,
+    not the k = 2 or 3 clusters.  The cross term is one (k, n)(n, t) product
+    f(C) X' per set: a stacked matmul makes each with the call that set
+    makes alone, so each matrix is its own bit for bit (one GEMM over all
+    sets picks another BLAS kernel and rounds differently).
     """
     fam = family(fam)
     X = fam.check_domain(X)
     if X.ndim != 2:
         raise ValueError(f"data must be a 2-d array, got shape {X.shape}")
     fx = np.sum(fam.potential(X), axis=1)  # (t,)
+    Xt = np.ascontiguousarray(X.T)  # (n, t)
 
     def cost(C):
         C = fam.check_domain(C)
@@ -184,7 +185,7 @@ def pairwise_cost(fam, X):
         fc = np.sum(fam.potential(C), axis=-1)[..., None]  # (R, k, 1)
         tc = fam.transfer(C)  # (R, k, n)
         D = fx - fc  # D[r, j, i] = fx[i] - fc[r, j] - <X[i] - C[r, j], f(C[r, j])>
-        D -= np.swapaxes(np.matmul(X, np.swapaxes(tc, -1, -2)), -1, -2)  # (t, k) products
+        D -= np.matmul(tc, Xt)  # (k, t) products
         D += np.sum(C * tc, axis=-1)[..., None]
         return np.maximum(D, 0.0, out=D)
 

@@ -111,7 +111,8 @@ def lloyd(X, labels0, fam="euclidean", max_iter=200, d=None, log_prior=False):
     if labels.min() < 0:
         raise ValueError("labels0 must be nonnegative")
     d = max(int(labels.max()) + 1, d or 0)
-    labels = _fill_empty(X, labels, cluster_means(X, labels, d)[0], fam)
+    if _counts(labels, d).min() == 0:
+        labels = _fill_empty(X, labels, cluster_means(X, labels, d)[0], fam)
     cost_of = pairwise_cost(fam, X)
     live = np.arange(labels.shape[0])
     traces = [[] for _ in live]

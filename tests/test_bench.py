@@ -101,6 +101,27 @@ def test_load_dataset_non_numeric_cell(tmp_path):
         load_dataset(p)
 
 
+def test_load_dataset_names_the_first_bad_line_in_file_order(tmp_path):
+    # the features convert in one call; on failure the error still names the
+    # first bad line, whether a wrong field count or a non-numeric cell
+    p = tmp_path / "bad.csv"
+    p.write_text("1.0,a,2.0\n3.0,b,x1\n3.0,b\n")
+    with pytest.raises(ParseError, match=r"line 2, column 3: non-numeric value 'x1'$"):
+        load_dataset(p, label_column=1)
+    p.write_text("1.0,a,2.0\n3.0,b\n3.0,b,x1\n")
+    with pytest.raises(ParseError, match=r"line 2: expected 3 fields, got 2$"):
+        load_dataset(p, label_column=1)
+
+
+def test_load_dataset_reads_every_cell_as_float_does(tmp_path):
+    cells = [" 1.5", "1_0", "nan", "-infinity", "١٢", "1e400", "4.9e-324"]
+    p = tmp_path / "spellings.csv"
+    p.write_text(",".join(cells) + ",a\n" + ",".join(["0"] * len(cells)) + ",b\n")
+    X = load_dataset(p).X
+    assert np.array_equal(X[0], [float(c) for c in cells], equal_nan=True)
+    assert X.dtype == float and X.flags.c_contiguous
+
+
 @pytest.mark.parametrize("column", [3, 7, -4])
 def test_load_dataset_rejects_label_column_out_of_range(tmp_path, column):
     p = tmp_path / "three.csv"

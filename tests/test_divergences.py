@@ -238,18 +238,22 @@ def test_pairwise_cost_validates_every_center_matrix(rng):
 @pytest.mark.parametrize("name", ["euclidean", "bernoulli"])
 @pytest.mark.parametrize("n", [2, 9, 57])
 def test_stacked_pairwise_cost_is_each_set_alone_bit_for_bit(rng, name, n):
-    # every set of the stack gets the BLAS product it gets alone; at
-    # n = 57 and t = 60 one flat GEMM over the whole stack rounds differently
+    # every set of the stack gets the BLAS product it gets alone; at n = 57
+    # and t = 60 one flat GEMM over the whole stack rounds differently, at
+    # n = 57 and t = 300 or 683 the (k, n)(n, t) cross term rounds unlike a
+    # (t, k) product, and k = 1 (_fill_empty's one live cluster) does so at
+    # most shapes
     draw = rng.normal if name == "euclidean" else lambda size: rng.uniform(0.02, 0.98, size)
-    X = draw(size=(60, n))
-    cost = pairwise_cost(name, X)
-    for k in (2, 3, 5):
-        for R in (1, 3, 30):
-            C = draw(size=(R, k, n))
-            stacked = cost(C)
-            assert stacked.shape == (R, k, 60) and stacked.flags.c_contiguous
-            for r in range(R):
-                assert np.array_equal(stacked[r], cost(C[r]))
+    for t in (60, 300, 683, 1000) if n == 57 else (60,):
+        X = draw(size=(t, n))
+        cost = pairwise_cost(name, X)
+        for k in (1, 2, 3, 5):
+            for R in (1, 3, 30):
+                C = draw(size=(R, k, n))
+                stacked = cost(C)
+                assert stacked.shape == (R, k, t) and stacked.flags.c_contiguous
+                for r in range(R):
+                    assert np.array_equal(stacked[r], cost(C[r]))
 
 
 def test_logsumexp_value_grad_stability():
