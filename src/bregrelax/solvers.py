@@ -324,16 +324,30 @@ def rowwise_objective(fam, X, M):
     return float(max(np.sum(vals), 0.0))
 
 
-def _admm_rows_pg(fam, X, M, anchors, mu):
+def _row_curvature(fam, X):
+    """Rows B -> (Y, L): Y = ``fam.clamp(B @ X)``, L_i the lesser of two bounds on
+    row i's loss Hessian X' diag(h_i) X, h_i = ``fam.curvature(X_i, Y_i)``: max(h_i)
+    lam_max(X'X) and Gershgorin's max_k sqrt(h_ik) sum_l |X'X|_kl sqrt(h_il)."""
+    gram = X.T @ X
+    lam, gram = np.linalg.eigvalsh(gram)[-1], np.abs(gram)
+
+    def rows(B):
+        Y = fam.clamp(B @ X)
+        H = fam.curvature(X, Y)
+        R = np.sqrt(H)
+        return Y, np.minimum(H.max(axis=1) * lam, np.max(R * (R @ gram), axis=1))
+    return rows
+
+
+def _admm_rows_pg(fam, X, M, anchors, mu, curvature):
     """All ADMM row subproblems at once, solved inexactly.
 
     Row i minimizes D_F(X_i, m X) + ||m - anchors_i||^2 / (2 mu) over the
     simplex.  ``ADMM_ROW_STEPS`` plain projected-gradient steps start from
     the rows of M.  A step on row i has length 1 / (L_i + 1/mu), L_i the
-    lesser of two bounds on the row loss's Hessian X diag(h_i) X' at the
-    step's start, h_i = ``fam.curvature(X_i, m_i X)``: max(h_i) lam_max(X'X)
-    and Gershgorin's max_k sqrt(h_ik) sum_l |X'X|_kl sqrt(h_il).  For
-    euclidean (h = 1) that is the fixed step 1 / (lam_max(X'X) + 1/mu).
+    bound ``curvature`` (``_row_curvature(fam, X)``) gives at the step's
+    start.  For euclidean (h = 1) that is the fixed step
+    1 / (lam_max(X'X) + 1/mu).
 
     Returns ``(M, defect)``.  With g the loss gradient (no proximal term)
     and L_i the bound the last step took on row i,
@@ -347,15 +361,9 @@ def _admm_rows_pg(fam, X, M, anchors, mu):
     ``admm_solve`` counts it in its stop test.  Rows stay in the simplex,
     so y stays in the data hull and h stays finite.
     """
-    gram = X.T @ X
-    lam, gram = np.linalg.eigvalsh(gram)[-1], np.abs(gram)
-
     def state(B):
         """Loss gradients and curvature bounds of the rows B."""
-        Y = fam.clamp(B @ X)
-        H = fam.curvature(X, Y)
-        R = np.sqrt(H)
-        L = np.minimum(H.max(axis=1) * lam, np.max(R * (R @ gram), axis=1))
+        Y, L = curvature(B)
         return ((Y - X) * fam.transfer_derivative(Y)) @ X.T, L
 
     M = simplex_project_rows(M)
@@ -379,10 +387,10 @@ class AdmmResult:
     trace: list = field(default_factory=list)
 
 
-ADMM_MU0 = 1.0
+ADMM_MU_SCALE = 4.0  # mu * max_i L_i at the uniform start; set with ADMM_ROW_STEPS by measurement
 ADMM_RELAX = 1.6
-ADMM_ROW_STEPS = 4
-ADMM_MEMORY = 3  # Anderson memory: step differences extrapolated from at one mu
+ADMM_ROW_STEPS = 2
+ADMM_MEMORY = 3  # Anderson memory: step differences extrapolated from
 
 
 def _anderson(f, r, dF, dR):
@@ -408,33 +416,35 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
     ``_admm_rows_pg``'s inexact row step.  The solve stops when primal =
     ||M - Z||, dual = ||Z - Z_prev|| / mu and defect = ||row defect||
     (Frobenius) all drop below tol * sqrt(t), so a certified M is an exact
-    row step up to the splitting's tolerance.  mu starts at ``ADMM_MU0``
-    and is halved or doubled, within [1e-6, 1e6], when the primal or dual
-    residual, normalized by max(||M||, ||Z||) or ||multiplier||, exceeds
-    the other tenfold (Boyd et al., 2011, section 3.4.1).
+    row step up to the splitting's tolerance.  mu = ``ADMM_MU_SCALE`` /
+    max_i L_i throughout, L_i the row step's curvature bound at the uniform
+    start M = 11'/t: the curvature fixes the penalty's scale (Ghadimi et
+    al., 2015), so the iterates do not depend on the scale of X.
 
-    Steps (1)-(3) are one map F of x = (M, Z, U).  At a fixed mu the next
-    x is the Anderson extrapolation of the last ``ADMM_MEMORY`` + 1 steps
+    Steps (1)-(3) are one map F of x = (M, Z, U).  The next x is the
+    Anderson extrapolation of the last ``ADMM_MEMORY`` + 1 steps
     (``_anderson``; Zhang, O'Donoghue & Boyd, 2020) instead of F(x).  A
-    change of mu clears that history, and so does the safeguard: a step
-    from an extrapolated x whose ||F(x) - x|| exceeds the previous step's
-    is discarded, and the run resumes from the previous F value.  Every
-    step is one iteration and one trace row; the stop test reads the step
-    just taken, whose residuals are KKT residuals from any (Z, U), so
-    ``converged`` keeps its meaning.  The returned M and Z are the last
-    step's: M has simplex rows (M @ X stays in the data hull; an
-    extrapolated M only warm-starts step (1)), Z is in ``rowsum``, and at
-    convergence they agree to the tolerance.
+    safeguard clears that history: a step from an extrapolated x whose
+    ||F(x) - x|| exceeds the previous step's is discarded, and the run
+    resumes from the previous F value.  Every step is one iteration and
+    one trace row; the stop test reads the step just taken, whose
+    residuals are KKT residuals from any (Z, U), so ``converged`` keeps
+    its meaning.  The returned M and Z are the last step's: M has simplex
+    rows (M @ X stays in the data hull; an extrapolated M only
+    warm-starts step (1)), Z is in ``rowsum``, and at convergence they
+    agree to the tolerance.
     """
     fam = family(fam)
     X = fam.check_domain(X)
     t = X.shape[0]
     x = f = np.stack([np.full((t, t), 1.0 / t), np.full((t, t), 1.0 / t), np.zeros((t, t))])
-    threshold, trace, iteration, converged, mu = tol * np.sqrt(t), [], 0, False, ADMM_MU0
-    last, fallback, scale = None, None, 1.0
+    curvature = _row_curvature(fam, X)
+    mu = ADMM_MU_SCALE / max(float(np.max(curvature(x[0])[1])), 1e-300)
+    threshold, trace, iteration, converged = tol * np.sqrt(t), [], 0, False
+    last = fallback = None
     for iteration in range(1, max_iter + 1):
-        mu, scale, (M_in, Z_in, U) = mu * scale, 1.0, x  # a new mu takes effect here
-        M, row_defect = _admm_rows_pg(fam, X, M_in, Z_in + U, mu)
+        M_in, Z_in, U = x
+        M, row_defect = _admm_rows_pg(fam, X, M_in, Z_in + U, mu, curvature)
         relaxed = ADMM_RELAX * M + (1.0 - ADMM_RELAX) * Z_in
         Z = project_rowsum(relaxed - U, d)
         f = np.stack([M, Z, U + Z - relaxed])
@@ -450,21 +460,9 @@ def admm_solve(X, d, fam="euclidean", tol=1e-5, max_iter=1000):
         if fallback is not None and res > last[2]:
             x, last, fallback = fallback, None, None  # the safeguard rejects x
             continue
-        dF, dR = (([], []) if last is None else  # a history starts after each restart
+        dF, dR = (([], []) if last is None else  # a history starts after each rejection
                   ((dF + [f - last[0]])[-ADMM_MEMORY:], (dR + [r - last[1]])[-ADMM_MEMORY:]))
         last = (f, r, res)
-        # balance the residuals relative to the scales of their iterates;
-        # the defect stays out: counted with the dual, it drives mu up and
-        # leaves the primal residual above 1 on criterion 07's instances
-        rel_primal = primal / max(np.linalg.norm(M), np.linalg.norm(Z), 1e-300)
-        rel_dual = dual / max(np.linalg.norm(f[2]) / mu, 1e-300)
-        scale = (0.5 if rel_primal > 10.0 * rel_dual and mu > 1e-6 else
-                 2.0 if rel_dual > 10.0 * rel_primal and mu < 1e6 else 1.0)
-        if scale != 1.0:  # U = mu * multiplier follows mu, and the history restarts
-            x, last, fallback = f * np.array([1.0, 1.0, scale])[:, None, None], None, None
-        elif dF:
-            x, fallback = _anderson(f, r, dF, dR), f
-        else:
-            x, fallback = f, None
+        x, fallback = (_anderson(f, r, dF, dR), f) if dF else (f, None)
     return AdmmResult(f[0], f[1], f[2] / mu, rowwise_objective(fam, X, f[0]), iteration,
                       converged, trace)

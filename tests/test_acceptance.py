@@ -350,9 +350,10 @@ def test_criterion_07_planted_partition_recovery():
     assert all(hits >= 9 for hits in results.values()), results
     # ADMM certifies its residuals on all but at most one planted instance
     assert certified_jc >= 19, certified_jc
-    # a step count, not a timing: it repeats exactly, and plain ADMM took
-    # 12,311 steps here where the Anderson-accelerated solve takes 8,248
-    assert iterations_jc <= 9000, iterations_jc
+    # a step count, not a timing: it repeats exactly; plain ADMM took 12,311
+    # steps here, Anderson with residual balancing 8,191, and Anderson at the
+    # fixed curvature-scaled penalty takes 4,874
+    assert iterations_jc <= 5300, iterations_jc
     assert time.time() - start < 120.0
 
 

@@ -23,7 +23,7 @@ from bregrelax.divergences import family
 from bregrelax.models import cond_objective
 from bregrelax import geometry, solvers
 from bregrelax.geometry import simplex_project_rows
-from bregrelax.solvers import _admm_rows_pg
+from bregrelax.solvers import _admm_rows_pg, _row_curvature
 
 from conftest import (
     assert_box_budget_projection,
@@ -397,8 +397,8 @@ def test_prox_raises_on_nonfinite():
 
 def row_steps(fam, X, anchors, mu):
     """ADMM row step from uniform rows, as ``admm_solve`` starts: (M, defect)."""
-    t = X.shape[0]
-    return _admm_rows_pg(family(fam), X, np.full((t, t), 1.0 / t), anchors, mu)
+    t, fam = X.shape[0], family(fam)
+    return _admm_rows_pg(fam, X, np.full((t, t), 1.0 / t), anchors, mu, _row_curvature(fam, X))
 
 
 def test_row_step_zero_loss_is_projection(rng):
@@ -479,7 +479,7 @@ def test_row_step_bernoulli_matches_shifted_grid_oracle(rng):
 
 def test_admm_bernoulli_certifies_criterion_07_grid():
     # criterion 07's cond-jc grid on planted_bernoulli data: every instance
-    # certifies; a step count, not a timing, about 15% above the 5,138 taken
+    # certifies; a step count, not a timing, about 16% above the 5,075 taken
     certified = iterations = 0
     for d, t in ((2, 16), (3, 18)):
         for seed in range(10):
@@ -504,8 +504,27 @@ def test_admm_two_clouds_recovers_partition(rng):
 def test_admm_identity_budget_zero_loss(rng):
     X = rng.normal(size=(3, 4))
     res = admm_solve(X, 3, "euclidean", tol=1e-7, max_iter=4000)
+    assert res.converged
     assert res.objective <= 1e-5
     assert np.max(np.abs(res.M - np.eye(3))) <= 0.05
+
+
+def test_admm_iterates_do_not_depend_on_the_scale_of_X():
+    # the penalty comes from the row step's curvature bound, which scales
+    # with X'X as the loss does, so 10 X runs the same iterates at one mu
+    X, _ = planted_euclidean(16, 2, np.random.default_rng(3))
+    runs = [admm_solve(X, 2, max_iter=60), admm_solve(10 * X, 2, max_iter=60)]
+    primal = [[row["primal"] for row in res.trace] for res in runs]
+    assert len(primal[0]) == len(primal[1])
+    assert np.max(np.abs(np.subtract(*primal))) <= 1e-10
+    assert np.max(np.abs(runs[0].M - runs[1].M)) <= 1e-10
+    assert all(len({row["mu"] for row in res.trace}) == 1 for res in runs)
+
+
+def test_admm_zero_data_certifies():
+    # X = 0 has no curvature to scale the penalty by, and every M is optimal
+    res = admm_solve(np.zeros((4, 2)), 2, max_iter=50)
+    assert res.converged and res.objective == 0.0
 
 
 def test_admm_termination_contract(rng):
