@@ -75,6 +75,8 @@ def read_config(path):
             raise ValueError(f"{path}: line {ln}: unknown key {key!r}")
         if key in GRID_KEYS:
             values[key] = [v.strip() for v in val.split(",") if v.strip()]
+            if not values[key]:
+                raise ValueError(f"{path}: line {ln}: {key} lists no value")
         else:
             values[key] = KNOBS[key].type(val)
     return values

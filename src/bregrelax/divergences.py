@@ -13,8 +13,8 @@ satisfy D_F(x, y) = D_F*(f(y), f(x)).  Two families ship: ``euclidean``
 divergence of paired rows (``row_divergence``) and the summed dual one
 (``conjugate_divergence``) share one entrywise kernel; ``pairwise_cost``
 expands it for every pair of rows, cluster-major (see there).  No other
-module evaluates a divergence or knows a family's domain.
-``softmax_rows`` is the package's one normalization in log space.
+module evaluates a divergence or knows a family's domain (k-means++ seeding
+too calls these).  ``softmax_rows`` is the one log-space normalization.
 """
 
 import numpy as np

@@ -167,34 +167,27 @@ def joint_hard_reopt(X, labels0, fam="euclidean", d=None):
     return lloyd(X, [np.ravel(labels0)], fam, d=d, log_prior=True)[0]
 
 
-def _kmeans_pp(X, k, rng):
-    t = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(t)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(t))  # degenerate: fewer distinct points than k
-        else:
-            idx = int(rng.choice(t, p=d2 / total))
-        centers[j] = X[idx]
-        np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1), out=d2)
-    return centers
-
-
 def kmeans(X, k, rng=None):
-    """Lloyd iterations from a kmeans++ seeding.
+    """kmeans++ seeds and start from one euclidean ``pairwise_cost``, then ``lloyd``.
 
-    The loop is ``lloyd`` under the euclidean family, started from the
-    nearest-seed assignment; returns its ClusteringResult, whose objective
-    is half the summed squared distance to the assigned centers.
+    Each seed is a point drawn in proportion to its divergence (half the
+    squared distance) from the nearest earlier seed, uniformly when all are
+    0; each point starts at its first nearest seed, Lloyd's rule.  Returns
+    lloyd's ClusteringResult: its objective is half the summed squared distance.
     """
     rng = np.random.default_rng(rng)
     X = np.asarray(X, dtype=float)
-    seeds = _kmeans_pp(X, k, rng)
-    labels0 = pairwise_divergence("euclidean", X, seeds).argmin(axis=1)
-    return lloyd(X, [labels0], "euclidean", max_iter=300, d=k)[0]
+    t = X.shape[0]
+    cost_of = pairwise_cost("euclidean", X)
+    near = cost_of(X[[rng.integers(t)]])[0]
+    labels0 = np.zeros(t, dtype=int)
+    for j in range(1, k):
+        total = near.sum()
+        idx = rng.integers(t) if total <= 0 else rng.choice(t, p=near / total)
+        seed = cost_of(X[[idx]])[0]
+        labels0[seed < near] = j
+        np.minimum(near, seed, out=near)
+    return lloyd(X, [labels0], "euclidean", d=k)[0]
 
 
 def spectral_embedding(M, d, eigenpairs=None):

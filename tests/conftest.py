@@ -16,7 +16,9 @@ every sweep where the package builds the data half of the cost once, and
 ``disc_terms_reference``; these three take their row log-sum-exp and
 softmax from ``row_softmax``, a plain max shift in ``softmax_rows``'s
 arithmetic (which ``test_divergences`` checks against scipy), and the
-Lloyd loop records no log-prior term.  ``spectral_embedding_reference``
+Lloyd loop records no log-prior term.  ``kmeans_reference`` draws its
+kmeans++ seeds and start from direct squared distances, where the package
+reads its euclidean cost.  ``spectral_embedding_reference``
 is the dense embedding as it was before it learned to read eigenpairs:
 it reorders every eigenvector column before keeping the top d.
 """
@@ -296,6 +298,25 @@ def lloyd_reference(X, labels0, fam, max_iter, d, log_prior=False):
             break
         labels = new_labels
     return labels, centers, weights, trace, iteration
+
+
+def kmeans_reference(X, k, rng):
+    """Textbook kmeans++ then ``lloyd_reference``: direct squared distances.
+
+    Each seed is drawn by ``rng.choice`` in proportion to the squared
+    distance to the nearest earlier seed (``rng.integers`` when all are
+    0), and each point starts at its ``np.argmin`` seed.  Returns what
+    ``lloyd_reference`` returns.
+    """
+    t = X.shape[0]
+    seeds = [X[rng.integers(t)]]
+    d2 = np.sum((X - seeds[0]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        seeds.append(X[rng.integers(t) if total <= 0 else rng.choice(t, p=d2 / total)])
+        d2 = np.minimum(d2, np.sum((X - seeds[-1]) ** 2, axis=1))
+    labels0 = np.argmin([np.sum((X - c) ** 2, axis=1) for c in seeds], axis=0)
+    return lloyd_reference(X, labels0, "euclidean", 200, k)
 
 
 def spectral_embedding_reference(M, d):

@@ -539,6 +539,19 @@ def test_read_config_errors(tmp_path):
         read_config(p)
 
 
+@pytest.mark.parametrize("line", ["model =", "transfer = ,", "dataset = , ,"])
+def test_read_config_rejects_an_empty_grid_axis(tmp_path, line):
+    # an axis with no value names its own line, not a grid left empty by disc
+    p = tmp_path / "empty.cfg"
+    p.write_text(f"seed = 1\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValueError, match=f"line 2: {key} lists no value"):
+        read_config(p)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", "a.csv", "--config", str(p)])
+    assert exc.value.code == f"bregrelax bench: {p}: line 2: {key} lists no value"
+
+
 # two values for every knob, neither of them its default
 KNOB_SAMPLES = {
     "dataset": ("a.csv", "b.csv"),

@@ -97,7 +97,7 @@ def test_the_package_runs_without_importing_scipy(tmp_path):
 
 
 # The ROADMAP's ceiling on src: a change that frees lines lowers it.
-SRC_LINE_CEILING = 2528
+SRC_LINE_CEILING = 2523
 
 
 def test_src_stays_below_its_line_ceiling():

@@ -29,6 +29,7 @@ from bregrelax.rounding import _max_matching, cluster_means, lloyd
 from conftest import (
     equivalence_from_assignment,
     exhaustive_hard_optimum,
+    kmeans_reference,
     lloyd_reference,
     planted_bernoulli,
     planted_euclidean,
@@ -266,6 +267,32 @@ def test_kmeans_inertia_is_squared_distance_to_returned_centers(rng):
     for res in [kmeans(X, 3, rng=5)] + [lloyd(X, [labels0], max_iter=m)[0] for m in (1, 2)]:
         expected = float(np.sum((X - res.centers[res.labels]) ** 2))
         assert 2.0 * res.objective == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_kmeans_matches_textbook_kmeans_pp_then_lloyd(k):
+    # seeds drawn by squared distance, argmin starts and Lloyd's loop:
+    # the same draws in the same order give the same clustering bit for bit
+    for seed in range(5):
+        X = np.random.default_rng(seed).normal(size=(40, 3))
+        res = kmeans(X, k, rng=seed)
+        labels, centers, _, trace, iterations = kmeans_reference(
+            X, k, np.random.default_rng(seed))
+        assert np.array_equal(res.labels, labels) and np.array_equal(res.centers, centers)
+        assert res.objective == trace[-1] and res.iterations == iterations
+
+
+def test_kmeans_matches_the_reference_with_fewer_distinct_rows_than_k():
+    # after two seeds every divergence is 0, so the last three seeds are
+    # uniform draws; the generator is left where the reference leaves it
+    X = np.repeat([[0.0, 1.0], [2.0, -1.0]], [4, 3], axis=0)
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        res = kmeans(X, 5, rng=rng)
+        labels, centers, _, trace, _ = kmeans_reference(X, 5, ref_rng)
+        assert np.array_equal(res.labels, labels) and np.array_equal(res.centers, centers)
+        assert res.objective == trace[-1] == 0.0
+        assert rng.random() == ref_rng.random()
 
 
 # ----------------------------------------------------------------- hard reopt
